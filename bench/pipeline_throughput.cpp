@@ -273,8 +273,9 @@ int main(int argc, const char** argv) {
   }
 
   // Stage 2 (isolated): tiled exact descendant counting across all
-  // directions — the kernel inside stage 1, re-timed alone so the tiling
-  // win is visible separately from the RNG/fill work.
+  // directions — the kernel inside stage 1, re-timed alone so the
+  // triangular-strip win (serial, jobs = 1) and the strip parallelism
+  // (pool width) are visible separately from the RNG/fill work.
   {
     StageResult s;
     s.name = "exact_descendant_counts";
@@ -287,15 +288,20 @@ int main(int argc, const char** argv) {
       }
       return hash;
     });
-    s.serial_seconds = time_stage(reps, s.checksum, [&] {
+    auto all_directions = [&](std::size_t j) {
       std::uint64_t hash = 0;
       for (std::size_t i = 0; i < inst.n_directions(); ++i) {
-        hash ^= fnv1a(dag::exact_descendant_counts(inst.dag(i)));
+        hash ^= fnv1a(
+            dag::exact_descendant_counts(inst.dag(i), 1u << 14, nullptr, j));
       }
       return hash;
-    });
-    s.parallel_seconds = s.serial_seconds;  // the kernel itself is serial
-    s.identical = ref_sum == s.checksum;
+    };
+    std::uint64_t serial_sum = 0;
+    s.serial_seconds =
+        time_stage(reps, serial_sum, [&] { return all_directions(1); });
+    s.parallel_seconds =
+        time_stage(reps, s.checksum, [&] { return all_directions(jobs); });
+    s.identical = ref_sum == serial_sum && serial_sum == s.checksum;
     stages.push_back(s);
     print_stage(s);
   }

@@ -96,6 +96,9 @@ struct alignas(64) WorkerState {
   std::uint64_t steals = 0;                     // cumulative
   std::uint64_t queue_depth = 0;                // Σ queued over owned procs
   std::uint64_t outbox_growths = 0;             // reallocations this run
+  // Largest resolve batch this shard has retired, kept across runs. Every
+  // outbox addressed to the shard is reserved to it at run start.
+  std::size_t inbox_peak = 0;
 };
 
 /// Reused per-thread scratch: the SoA arena plus the containers whose
@@ -245,12 +248,6 @@ std::optional<Schedule> sharded_list_schedule(
     for (std::uint32_t p = ws.proc_lo; p < ws.proc_hi; ++p) shard_of[p] = w;
     ws.outbox.resize(W);
     ws.outbox_cap.resize(W);
-    for (std::size_t d = 0; d < W; ++d) {
-      ws.outbox[d].clear();
-      // Snapshot warm capacities: outbox_growths counts reallocations
-      // *within this run* — zero once the scratch has seen this shape.
-      ws.outbox_cap[d] = ws.outbox[d].capacity();
-    }
     ws.pops = 0;
     ws.active = 0;
     ws.steals = 0;
@@ -268,6 +265,17 @@ std::optional<Schedule> sharded_list_schedule(
       W,
       [&](std::size_t w) {
         WorkerState& ws = *workers[w];
+        // Stealing moves pops between executors, so how much one worker
+        // pushes to shard d in a step varies from run to run; the step's
+        // total for d does not. Reserving every outbox to d's peak total
+        // makes outbox_growths count reallocations *within this run* that
+        // are zero once the scratch has seen this shape, whichever
+        // executor ran which processor.
+        for (std::size_t d = 0; d < W; ++d) {
+          ws.outbox[d].clear();
+          ws.outbox[d].reserve(workers[d]->inbox_peak);
+          ws.outbox_cap[d] = ws.outbox[d].capacity();
+        }
         const std::size_t s_lo = static_cast<std::size_t>(ws.proc_lo)
                                  << log2r;
         const std::size_t s_hi = static_cast<std::size_t>(ws.proc_hi)
@@ -441,6 +449,7 @@ std::optional<Schedule> sharded_list_schedule(
             batch.insert(batch.end(), box.begin(), box.end());
             box.clear();
           }
+          ws.inbox_peak = std::max(ws.inbox_peak, batch.size());
           if (!batch.empty()) {
             if (ws.ready_slots.size() < batch.size()) {
               ws.ready_slots.resize(batch.size());

@@ -332,11 +332,15 @@ void run_benign_oracles(const Scenario& s, OracleReport& report) {
     for (const std::size_t i : {std::size_t{0}, k - 1}) {
       if (i >= k) break;
       const dag::SweepDag& g = instance->dag(i);
-      if (dag::exact_descendant_counts(g) !=
-          dag::exact_descendant_counts_reference(g)) {
-        fail("preproc_identity",
-             "tiled exact_descendant_counts diverges from reference "
-             "(direction " + std::to_string(i) + ")");
+      const auto ref_counts = dag::exact_descendant_counts_reference(g);
+      for (const std::size_t jobs : {1u, 2u}) {
+        if (dag::exact_descendant_counts(g, 1u << 14, nullptr, jobs) !=
+            ref_counts) {
+          fail("preproc_identity",
+               "tiled exact_descendant_counts diverges from reference "
+               "(direction " + std::to_string(i) + ", jobs=" +
+                   std::to_string(jobs) + ")");
+        }
       }
     }
   };

@@ -70,6 +70,9 @@ class Reader {
       throw WireError(std::string("wire: truncated ") + what);
     }
     std::vector<T> values(static_cast<std::size_t>(count));
+    // An empty vector's data() may be null, and memcpy with a null pointer
+    // is UB even for zero bytes.
+    if (count == 0) return values;
     std::memcpy(values.data(), bytes_.data() + pos_, count * sizeof(T));
     pos_ += count * sizeof(T);
     return values;

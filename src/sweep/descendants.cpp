@@ -1,15 +1,19 @@
 #include "sweep/descendants.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <stdexcept>
 
 #include "obs/obs.hpp"
+#include "util/parallel.hpp"
 
 namespace sweep::dag {
 
 std::vector<std::uint64_t> exact_descendant_counts(const SweepDag& dag,
                                                    std::size_t max_nodes,
-                                                   TiledCountStats* stats) {
+                                                   TiledCountStats* stats,
+                                                   std::size_t jobs) {
   const std::size_t n = dag.n_nodes();
   if (n > max_nodes) {
     throw std::invalid_argument(
@@ -19,36 +23,80 @@ std::vector<std::uint64_t> exact_descendant_counts(const SweepDag& dag,
   std::vector<std::uint64_t> counts(n, 0);
   constexpr std::size_t kTileColumns = kTileWords * 64;
   const std::size_t strips = (n + kTileColumns - 1) / kTileColumns;
+  const std::size_t executors =
+      jobs != 0 ? jobs : util::ThreadPool::global().size() + 1;
+  const std::size_t workers = std::min(executors, strips);
   if (stats != nullptr) {
     stats->strips = strips;
+    stats->workers = workers;
     stats->scratch_bytes_per_worker = n * kTileWords * sizeof(std::uint64_t);
   }
   if (n == 0) return counts;
-  const std::vector<NodeId> topo = dag.topological_order();
 
-  // tile[v] = the kTileColumns columns of reach-row v covered by the
-  // current strip: one cache line per node, reused across strips, so the
-  // per-edge OR below never leaves L2 no matter how large n^2/8 gets.
-  std::vector<std::uint64_t> tile(n * kTileWords);
-  for (std::size_t strip = 0; strip < strips; ++strip) {
-    const std::size_t column_base = strip * kTileColumns;
-    for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-      const NodeId v = *it;
-      std::uint64_t* row = tile.data() + static_cast<std::size_t>(v) * kTileWords;
-      for (std::size_t j = 0; j < kTileWords; ++j) row[j] = 0;
-      const std::size_t local = static_cast<std::size_t>(v) - column_base;
-      if (local < kTileColumns) row[local / 64] = 1ull << (local % 64);
-      for (NodeId s : dag.successors(v)) {
-        const std::uint64_t* srow =
-            tile.data() + static_cast<std::size_t>(s) * kTileWords;
-        for (std::size_t j = 0; j < kTileWords; ++j) row[j] |= srow[j];
-      }
-      std::uint64_t popcount = 0;
-      for (std::size_t j = 0; j < kTileWords; ++j) {
-        popcount += static_cast<std::uint64_t>(__builtin_popcountll(row[j]));
-      }
-      counts[v] += popcount;
-    }
+  // Relabel by topological rank: every edge goes from a lower to a higher
+  // rank, so rank r reaches only ranks >= r and the columns of strip
+  // [a, a + kTileColumns) are reachable only from ranks below a +
+  // kTileColumns. Each strip walks just that triangle, which halves the
+  // word operations of a full n x strips sweep.
+  const std::vector<NodeId> topo = dag.topological_order();
+  std::vector<NodeId> rank(n);
+  for (std::size_t r = 0; r < n; ++r) rank[topo[r]] = static_cast<NodeId>(r);
+  std::vector<std::uint32_t> offsets(n + 1, 0);
+  std::vector<NodeId> targets;
+  targets.reserve(dag.n_edges());
+  for (std::size_t r = 0; r < n; ++r) {
+    for (NodeId s : dag.successors(topo[r])) targets.push_back(rank[s]);
+    offsets[r + 1] = static_cast<std::uint32_t>(targets.size());
+  }
+
+  // Strips are independent, so they run in parallel. Each executor owns
+  // one tile (one cache line of the strip per rank: 64n bytes) and one
+  // partial-count array, and claims strips from a shared counter, so the
+  // strips it sees ascend. The rows of ranks >= a + kTileColumns in its
+  // tile were therefore never written and are still zero: the per-edge OR
+  // below stays branch-free although it skips them.
+  std::vector<std::vector<std::uint64_t>> partial(workers);
+  std::atomic<std::size_t> next_strip{0};
+  util::parallel_for(
+      workers,
+      [&](std::size_t w) {
+        std::vector<std::uint64_t> tile;
+        std::vector<std::uint64_t>& part = partial[w];
+        for (;;) {
+          const std::size_t strip =
+              next_strip.fetch_add(1, std::memory_order_relaxed);
+          if (strip >= strips) return;
+          if (tile.empty()) {
+            tile.assign(n * kTileWords, 0);
+            part.assign(n, 0);
+          }
+          const std::size_t column_base = strip * kTileColumns;
+          const std::size_t top = std::min(n, column_base + kTileColumns);
+          for (std::size_t r = top; r-- > 0;) {
+            std::uint64_t row[kTileWords] = {};
+            const std::size_t local = r - column_base;
+            if (local < kTileColumns) row[local / 64] = 1ull << (local % 64);
+            for (std::uint32_t e = offsets[r]; e < offsets[r + 1]; ++e) {
+              const std::uint64_t* srow =
+                  tile.data() + static_cast<std::size_t>(targets[e]) * kTileWords;
+              for (std::size_t j = 0; j < kTileWords; ++j) row[j] |= srow[j];
+            }
+            std::uint64_t popcount = 0;
+            for (std::size_t j = 0; j < kTileWords; ++j) {
+              tile[r * kTileWords + j] = row[j];
+              popcount += static_cast<std::uint64_t>(std::popcount(row[j]));
+            }
+            part[r] += popcount;
+          }
+        }
+      },
+      workers);
+
+  // Integer sums commute, so the counts do not depend on which executor
+  // ran which strip.
+  for (const std::vector<std::uint64_t>& part : partial) {
+    if (part.empty()) continue;  // an executor that found no strip left
+    for (std::size_t r = 0; r < n; ++r) counts[topo[r]] += part[r];
   }
   for (std::size_t v = 0; v < n; ++v) --counts[v];  // exclude v itself
   SWEEP_OBS_COUNTER_ADD("descendants.tiled.strips", strips);

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "sweep/random_dag.hpp"
+#include "util/thread_pool.hpp"
 #include "test_helpers.hpp"
 
 namespace sweep::dag {
@@ -60,19 +61,75 @@ TEST(ExactDescendants, TiledMatchesReferenceOnRandomDags) {
   }
 }
 
+TEST(ExactDescendants, StripParallelMatchesReferenceForAnyJobs) {
+  // Node counts straddle the strip width (512 ranks): empty, one node,
+  // below/at/past one strip, and multi-strip graphs that are not a
+  // multiple of it. jobs = 0 is the full pool width.
+  for (const std::size_t n : {0u, 1u, 511u, 512u, 513u, 1500u, 5000u}) {
+    util::Rng rng(n + 7);
+    const SweepDag g =
+        n == 0 ? test::make_dag(0, {})
+               : random_layered_dag(n, std::max<std::size_t>(n / 20, 2), 2.5,
+                                    rng);
+    const auto want = exact_descendant_counts_reference(g);
+    for (const std::size_t jobs : {1u, 2u, 0u}) {
+      EXPECT_EQ(exact_descendant_counts(g, 1u << 14, nullptr, jobs), want)
+          << "n=" << n << " jobs=" << jobs;
+    }
+  }
+}
+
+/// A path through n nodes: ids ascend along it (already topological) or,
+/// with `reversed`, descend (anti-topological, so the rank relabelling
+/// is the reversal).
+SweepDag labelled_chain(std::size_t n, bool reversed) {
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    const auto a = static_cast<NodeId>(i);
+    const auto b = static_cast<NodeId>(i + 1);
+    edges.push_back(reversed ? std::pair{b, a} : std::pair{a, b});
+  }
+  return test::make_dag(n, std::move(edges));
+}
+
+TEST(ExactDescendants, LongChainsInEitherLabelling) {
+  // A chain makes every strip's triangle as deep as it gets: the source
+  // reaches all n - 1 other nodes across every strip.
+  constexpr std::size_t kN = 3000;
+  for (const bool reversed : {false, true}) {
+    const SweepDag g = labelled_chain(kN, reversed);
+    const auto want = exact_descendant_counts_reference(g);
+    for (std::size_t v = 0; v < kN; ++v) {
+      ASSERT_EQ(want[v], reversed ? v : kN - 1 - v) << "v=" << v;
+    }
+    for (const std::size_t jobs : {1u, 2u, 0u}) {
+      EXPECT_EQ(exact_descendant_counts(g, 1u << 14, nullptr, jobs), want)
+          << "reversed=" << reversed << " jobs=" << jobs;
+    }
+  }
+}
+
 TEST(ExactDescendants, TiledStatsReportBoundedScratch) {
-  // The tiled counter's working set is kTileWords words (one cache line)
-  // per node, reused across strips: n * tile_width / 8 = 64n bytes,
-  // independent of the strip count (DESIGN.md §11).
+  // Each worker's working set is kTileWords words (one cache line) per
+  // node, reused across its strips: n * tile_width / 8 = 64n bytes,
+  // independent of the strip count (DESIGN.md §11). The strips are spread
+  // over at most min(executors, strips) workers.
   util::Rng rng(4);
   const SweepDag g = random_layered_dag(1500, 12, 2.0, rng);
-  TiledCountStats stats;
-  const auto tiled = exact_descendant_counts(g, 1u << 14, &stats);
-  EXPECT_EQ(stats.strips, (1500 + kTileWords * 64 - 1) / (kTileWords * 64));
-  EXPECT_GE(stats.strips, 2u);  // actually exercises strip reuse
-  EXPECT_EQ(stats.scratch_bytes_per_worker,
-            1500 * kTileWords * sizeof(std::uint64_t));
-  EXPECT_EQ(tiled, exact_descendant_counts_reference(g));
+  const std::size_t strips = (1500 + kTileWords * 64 - 1) / (kTileWords * 64);
+  const std::size_t pool_width = util::ThreadPool::global().size() + 1;
+  for (const std::size_t jobs : {1u, 2u, 0u}) {
+    TiledCountStats stats;
+    const auto tiled = exact_descendant_counts(g, 1u << 14, &stats, jobs);
+    EXPECT_EQ(stats.strips, strips);
+    EXPECT_GE(stats.strips, 2u);  // actually exercises strip reuse
+    EXPECT_EQ(stats.scratch_bytes_per_worker,
+              1500 * kTileWords * sizeof(std::uint64_t));
+    EXPECT_GE(stats.workers, 1u);
+    EXPECT_LE(stats.workers,
+              std::min(jobs == 0 ? pool_width : jobs, strips));
+    EXPECT_EQ(tiled, exact_descendant_counts_reference(g));
+  }
 }
 
 TEST(ExactDescendants, TiledEmptyDag) {
@@ -80,6 +137,7 @@ TEST(ExactDescendants, TiledEmptyDag) {
   TiledCountStats stats;
   EXPECT_TRUE(exact_descendant_counts(g, 1u << 14, &stats).empty());
   EXPECT_EQ(stats.strips, 0u);
+  EXPECT_EQ(stats.workers, 0u);
 }
 
 TEST(EstimatedDescendants, RejectsTooFewRounds) {

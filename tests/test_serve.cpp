@@ -119,6 +119,17 @@ TEST(Wire, ResponseRoundTrips) {
     EXPECT_EQ(back.stats.entries, r.stats.entries);
   }
   {
+    Response r;  // a query answered without starts: an empty array field
+    r.status = 0;
+    r.type = MsgType::kQuery;
+    r.query.makespan = 5;
+    r.query.schedule_hash = 9;
+    const Response back = decode_response(encode_response(r));
+    EXPECT_TRUE(back.query.starts.empty());
+    EXPECT_EQ(back.query.makespan, 5u);
+    EXPECT_EQ(back.query.schedule_hash, 9u);
+  }
+  {
     Response r;  // error responses carry only the message
     r.status = 2;
     r.type = MsgType::kQuery;

@@ -190,11 +190,11 @@ TEST(ShardedEngine, WidePriorityRangeUsesSerialEngines) {
 }
 
 TEST(ShardedEngine, OutboxCapacityIsRetainedAcrossSupersteps) {
-  // The per-(worker, dest shard) outboxes and the resolve batch live in
-  // thread-local scratch: after a warm-up run on the same shape, a second
-  // run must not reallocate them mid-superstep. engine.sharded.outbox_growths
-  // counts capacity increases observed *within* one run, so the warm run
-  // must report zero.
+  // The per-(worker, dest shard) outboxes live in the caller's scratch:
+  // after a warm-up run on the same shape, a second run must not reallocate
+  // them mid-superstep, however stealing spreads the pops over executors
+  // this time. engine.sharded.outbox_growths counts capacity increases
+  // observed *within* one run, so the warm run must report zero.
   const auto inst = dag::random_instance(200, 5, 10, 2.2, 57);
   util::Rng rng(31);
   const Assignment assignment = random_assignment(inst.n_cells(), 16, rng);
