@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks for the performance-critical kernels:
 // mesh generation, DAG induction, level computation, the list-scheduling
-// engine (old per-direction-walk path vs. the flat TaskGraph engine, bucket
-// and heap ready queues), Algorithm 1's layered construction, and the
+// engine (old per-direction-walk path vs. the flat TaskGraph slot-map
+// engine), Algorithm 1's layered construction, and the
 // multilevel partitioner. These back the paper's remark that the algorithms
 // run in near-linear time in the schedule length.
 //
@@ -119,7 +119,7 @@ void BM_TaskGraphBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_TaskGraphBuild);
 
-/// New engine, kAuto ready queues (bucket for these priorities).
+/// The slot-map engine.
 void BM_ListScheduler(benchmark::State& state) {
   const auto& inst = bench_instance();
   const auto m = static_cast<std::size_t>(state.range(0));
@@ -135,24 +135,6 @@ void BM_ListScheduler(benchmark::State& state) {
                           static_cast<std::int64_t>(inst.n_tasks()));
 }
 BENCHMARK(BM_ListScheduler)->Arg(8)->Arg(64)->Arg(512);
-
-/// New engine forced onto binary heaps — isolates the bucket-queue gain.
-void BM_ListSchedulerHeap(benchmark::State& state) {
-  const auto& inst = bench_instance();
-  const auto m = static_cast<std::size_t>(state.range(0));
-  const SchedFixture& fix = sched_fixture(m);
-  core::ListScheduleOptions options;
-  options.priorities = fix.priorities;
-  options.ready_queue = core::ReadyQueueKind::kHeap;
-  (void)inst.task_graph();
-  for (auto _ : state) {
-    auto schedule = core::list_schedule(inst, fix.assignment, m, options);
-    benchmark::DoNotOptimize(schedule.makespan());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(inst.n_tasks()));
-}
-BENCHMARK(BM_ListSchedulerHeap)->Arg(8)->Arg(64)->Arg(512);
 
 /// Old path: per-direction DAG walks + task-id arithmetic per edge.
 void BM_ListSchedulerReference(benchmark::State& state) {
@@ -295,12 +277,6 @@ void write_throughput_json(const std::string& path) {
     core::ListScheduleOptions options;
     options.priorities = fix.priorities;
     add("list_schedule", time_per_run([&] {
-          benchmark::DoNotOptimize(
-              core::list_schedule(inst, fix.assignment, m, options)
-                  .makespan());
-        }));
-    options.ready_queue = core::ReadyQueueKind::kHeap;
-    add("list_schedule_heap", time_per_run([&] {
           benchmark::DoNotOptimize(
               core::list_schedule(inst, fix.assignment, m, options)
                   .makespan());

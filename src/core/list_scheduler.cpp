@@ -1,88 +1,146 @@
 #include "core/list_scheduler.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
-#include <optional>
 #include <queue>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
-#include "core/sharded_schedule.hpp"
 #include "obs/obs.hpp"
 #include "sweep/task_graph.hpp"
 #include "util/arena.hpp"
-#include "util/simd.hpp"
 
 namespace sweep::core {
 namespace {
 
 using Task32 = dag::TaskGraph::Task;
 
-// Eligibility limits for the slot-map ready queues (the kAuto fast path).
-// Level-derived priorities span at most depth + k values, which is tiny;
-// descendant counts span up to n and fall back to the heap. The range and
-// total-bucket bounds cap the per-call histogram at (range + 1) * m
-// counters; the indegree and slot bounds come from the packed
-// (slot << 8) | indegree representation below.
-constexpr std::uint64_t kMaxBucketRange = (1u << 16) - 1;
-constexpr std::uint64_t kMaxTotalBuckets = 1u << 20;
-constexpr std::uint32_t kMaxPackedIndegree = 0xFF;
-constexpr std::uint32_t kMaxPackedSlots = 1u << 24;
+/// Per-thread scratch for the engine. list_schedule is called in tight loops
+/// (trial fan-outs run thousands of schedules per thread); carving every
+/// per-call lane out of one reused 64-byte-aligned arena avoids re-faulting
+/// about 24 bytes per task of fresh pages on each call.
+util::Arena& engine_arena() {
+  thread_local util::Arena arena;
+  return arena;
+}
 
-/// Per-processor binary min-heaps keyed by (priority, task id) — the
-/// general fallback for arbitrary 64-bit priorities.
-struct HeapReadyQueues {
-  using Entry = std::pair<std::int64_t, Task32>;
-  std::vector<std::priority_queue<Entry, std::vector<Entry>, std::greater<>>>
-      heaps;
-
-  explicit HeapReadyQueues(std::size_t n_processors) : heaps(n_processors) {}
-
-  void push(std::size_t p, std::int64_t priority, Task32 t) {
-    heaps[p].push({priority, t});
+/// Stable LSD radix sort of the pairs (keys[i], ids[i]) by key, ascending:
+/// one counting pass per key byte, least significant first. A byte on which
+/// every key agrees would put every key in one bucket and move nothing, so
+/// it is skipped: narrow keys (levels, a few hundred processors) cost one or
+/// two passes, and any u64 key still sorts. `ids_tmp` / `keys_tmp` are
+/// scratch of the same length; the pointers swap with them on every pass
+/// taken, so on return `ids` / `keys` hold the sorted pairs and the tmp
+/// pointers the free buffers.
+void radix_sort_by_key(std::uint32_t*& ids, std::uint64_t*& keys,
+                              std::uint32_t*& ids_tmp,
+                              std::uint64_t*& keys_tmp, std::size_t n) {
+  std::uint64_t any = 0;
+  std::uint64_t all = ~std::uint64_t{0};
+  for (std::size_t i = 0; i < n; ++i) {
+    any |= keys[i];
+    all &= keys[i];
   }
-  Task32 pop(std::size_t p) {
-    const Task32 t = heaps[p].top().second;
-    heaps[p].pop();
-    return t;
+  const std::uint64_t varying = any ^ all;
+  for (unsigned shift = 0; shift < 64; shift += 8) {
+    if (((varying >> shift) & 0xFF) == 0) continue;
+    std::array<std::uint32_t, 256> next{};
+    for (std::size_t i = 0; i < n; ++i) ++next[(keys[i] >> shift) & 0xFF];
+    std::uint32_t acc = 0;
+    for (std::uint32_t& c : next) acc += std::exchange(c, acc);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t pos = next[(keys[i] >> shift) & 0xFF]++;
+      ids_tmp[pos] = ids[i];
+      keys_tmp[pos] = keys[i];
+    }
+    std::swap(ids, ids_tmp);
+    std::swap(keys, keys_tmp);
   }
-  [[nodiscard]] bool empty(std::size_t p) const { return heaps[p].empty(); }
-};
+}
 
-/// Heap-path per-task hot state: the engine touches a task's remaining
-/// predecessor count on every incoming edge, and its processor + priority
-/// when the count hits zero; packing them into one record costs one
-/// cache-line touch where three scattered arrays (indegree, cell ->
-/// assignment, priorities) cost up to three.
-struct HeapRec {
-  std::uint32_t indegree;
-  std::uint32_t proc;
-  std::int64_t prio;
-};
-
-/// The generic engine, used with HeapReadyQueues. Semantics are identical to
-/// list_schedule_reference; the differences are the flat-CSR successor walk
-/// and the packed records. kGated compiles the release-time /
-/// cross-message-delay machinery out entirely for the common ungated call.
-template <bool kGated, typename ReadyQueues>
-Schedule run_heap_engine(const dag::TaskGraph& tg, const Assignment& assignment,
+/// The slot-map engine.
+///
+/// Every task gets a static SLOT: slots are the tasks in (processor,
+/// priority, task id) order, built by two stable radix sorts starting from
+/// ascending task id — first on the rebased priority u64(p) - u64(min),
+/// then on the processor. Each processor that owns tasks gets one REGION,
+/// its dense run of slots; processors without tasks cost nothing, so every
+/// lane is O(n·k) whatever m is. The ready set is one bitmap over slots:
+///   push = set the task's slot bit, and keep the region's hint (the lowest
+///          live slot bound) and queued count;
+///   pop  = find-first-set from the region's hint. Every live slot of the
+///          region lies at or above its hint, and the region has one, so the
+///          first set bit found is that region's lowest live slot, which IS
+///          the (priority, task id) minimum the reference heap would pop.
+/// A region is on the active list exactly while its queued count is > 0.
+template <bool kGated>
+Schedule run_slot_engine(const dag::TaskGraph& tg,
+                         const Assignment& assignment,
                          std::size_t n_processors,
-                         const ListScheduleOptions& options, ReadyQueues& ready,
-                         std::vector<HeapRec>& rec) {
-  SWEEP_OBS_SPAN("engine.heap.run");
+                         const ListScheduleOptions& options) {
   const std::size_t total = tg.n_tasks();
+  const std::uint32_t* cell = tg.cells().data();
+  const std::size_t max_regions = std::min(tg.n_cells(), n_processors);
+
+  obs::PhaseSpan build_phase("engine.slot.build");
+  util::Arena& arena = engine_arena();
+  arena.reserve(util::Arena::lane_bytes<std::uint32_t>(total) * 2 +
+                util::Arena::lane_bytes<std::uint64_t>(total) * 2 +
+                util::Arena::lane_bytes<std::uint64_t>(total / 64 + 1) +
+                util::Arena::lane_bytes<std::uint32_t>(max_regions) * 2);
+  std::uint32_t* ids = arena.alloc<std::uint32_t>(total);
+  std::uint32_t* ids_tmp = arena.alloc<std::uint32_t>(total);
+  std::uint64_t* keys = arena.alloc<std::uint64_t>(total);
+  std::uint64_t* keys_tmp = arena.alloc<std::uint64_t>(total);
+
+  for (std::size_t t = 0; t < total; ++t) ids[t] = static_cast<Task32>(t);
+  if (!options.priorities.empty()) {
+    // Unsigned rebasing: any two int64 priorities, even INT64_MIN and
+    // INT64_MAX, differ by less than 2^64, and the map is order-preserving.
+    const std::int64_t* priority = options.priorities.data();
+    const auto min_priority = static_cast<std::uint64_t>(
+        *std::min_element(options.priorities.begin(),
+                          options.priorities.end()));
+    for (std::size_t t = 0; t < total; ++t) {
+      keys[t] = static_cast<std::uint64_t>(priority[t]) - min_priority;
+    }
+    radix_sort_by_key(ids, keys, ids_tmp, keys_tmp, total);
+  }
+  for (std::size_t i = 0; i < total; ++i) keys[i] = assignment[cell[ids[i]]];
+  radix_sort_by_key(ids, keys, ids_tmp, keys_tmp, total);
+
+  // ids is now slot -> task and keys slot -> processor. The sort's free
+  // buffers become the per-task lanes: place[t] = (region << 32) | slot, and
+  // the remaining-indegree counters.
+  const Task32* task_at = ids;
+  std::uint64_t* place = keys_tmp;
+  std::size_t n_regions = 0;
+  for (std::size_t s = 0; s < total; ++s) {
+    if (s == 0 || keys[s] != keys[s - 1]) ++n_regions;
+    place[task_at[s]] = (static_cast<std::uint64_t>(n_regions - 1) << 32) | s;
+  }
+  std::uint32_t* indeg = ids_tmp;
+  std::copy(tg.indegrees().begin(), tg.indegrees().end(), indeg);
+
   Schedule schedule(tg.n_cells(), tg.n_directions(), n_processors, assignment);
+  std::uint64_t* bitmap = arena.alloc_zero<std::uint64_t>(total / 64 + 1);
+  // hint[r]: no live slot of region r is below this (valid iff queued > 0).
+  std::uint32_t* hint = arena.alloc<std::uint32_t>(n_regions);
+  std::uint32_t* queued = arena.alloc_zero<std::uint32_t>(n_regions);
+  std::vector<std::uint32_t> active;
+  active.reserve(n_regions);
 
-  std::vector<char> active_flag(n_processors, 0);
-  std::vector<ProcessorId> active;
-  active.reserve(n_processors);
-
-  auto push_ready = [&](Task32 t) {
-    const std::size_t p = rec[t].proc;
-    ready.push(p, rec[t].prio, t);
-    if (!active_flag[p]) {
-      active_flag[p] = 1;
-      active.push_back(static_cast<ProcessorId>(p));
+  auto push = [&](Task32 t) {
+    const auto s = static_cast<std::uint32_t>(place[t]);
+    const auto r = static_cast<std::uint32_t>(place[t] >> 32);
+    bitmap[s >> 6] |= 1ull << (s & 63);
+    if (queued[r]++ == 0) {
+      hint[r] = s;
+      active.push_back(r);
+    } else if (s < hint[r]) {
+      hint[r] = s;
     }
   };
 
@@ -104,18 +162,22 @@ Schedule run_heap_engine(const dag::TaskGraph& tg, const Assignment& assignment,
         return;
       }
     }
-    push_ready(t);
+    push(t);
   };
 
-  for (Task32 t = 0; t < total; ++t) {
-    if (rec[t].indegree == 0) enqueue_ready(t, 0);
+  for (std::size_t t = 0; t < total; ++t) {
+    if (indeg[t] == 0) enqueue_ready(static_cast<Task32>(t), 0);
   }
+  build_phase.done();
+  obs::PhaseSpan run_phase("engine.slot.run");
 
   std::size_t done = 0;
   std::vector<Task32> finished;
-  finished.reserve(n_processors);
-  std::vector<ProcessorId> still_active;
-  still_active.reserve(n_processors);
+  finished.reserve(n_regions);
+  std::vector<std::uint32_t> still_active;
+  still_active.reserve(n_regions);
+  std::uint64_t scan_words = 0;
+  std::size_t peak_active = 0;
 
   TimeStep now = 0;
   while (done < total) {
@@ -124,7 +186,7 @@ Schedule run_heap_engine(const dag::TaskGraph& tg, const Assignment& assignment,
       while (!pending.empty() && pending.top().first <= now) {
         const Task32 task = pending.top().second;
         pending.pop();
-        push_ready(task);
+        push(task);
       }
       if (active.empty()) {
         if (pending.empty()) {
@@ -141,248 +203,13 @@ Schedule run_heap_engine(const dag::TaskGraph& tg, const Assignment& assignment,
       }
     }
 
-    // Each active processor runs its best ready task this step.
-    finished.clear();
-    still_active.clear();
-    for (ProcessorId p : active) {
-      const Task32 task = ready.pop(p);
-      schedule.set_start(task, now);
-      finished.push_back(task);
-      if (ready.empty(p)) {
-        active_flag[p] = 0;
-      } else {
-        still_active.push_back(p);
-      }
-    }
-    active.swap(still_active);
-    done += finished.size();
-
-    // Newly ready successors become available from now+1 (or their release;
-    // or now+1+c if the message must cross processors).
-    for (Task32 task : finished) {
-      for (Task32 succ : tg.successors(task)) {
-        if constexpr (kGated) {
-          if (!earliest.empty() && rec[succ].proc != rec[task].proc) {
-            earliest[succ] = std::max(earliest[succ],
-                                      now + 1 + options.cross_message_delay);
-          }
-        }
-        if (--rec[succ].indegree == 0) enqueue_ready(succ, now + 1);
-      }
-    }
-    ++now;
-  }
-  SWEEP_OBS_COUNTER_ADD("engine.heap.runs", 1);
-  SWEEP_OBS_COUNTER_ADD("engine.pops", done);
-  SWEEP_OBS_COUNTER_ADD("engine.steps", now);
-  if (now > 0) {
-    SWEEP_OBS_OBSERVE("engine.occupancy",
-                      static_cast<double>(done) /
-                          (static_cast<double>(now) *
-                           static_cast<double>(n_processors)));
-  }
-  return schedule;
-}
-
-/// Per-thread scratch for the slot engine. list_schedule is called in tight
-/// loops (trial fan-outs run thousands of schedules per thread); reusing the
-/// large per-call lanes instead of reallocating them avoids ~1MB of
-/// mmap/page-zeroing traffic per call. The hot lanes (packed, task_at,
-/// bitmap, hint, queued, active_flag) live as a structure-of-arrays in one
-/// 64-byte-aligned arena — each lane starts on its own cache line and the
-/// per-call carve-out is free once the arena is warm. Only bucket_next stays
-/// a vector: the histogram that sizes the slot space must run before the
-/// arena can be reserved. Lanes are either zero-filled per call (bitmap,
-/// queued, active_flag) or fully overwritten before use (packed; task_at and
-/// hint are only read at slots / processors the current call populated).
-struct SlotScratch {
-  std::vector<std::uint32_t> bucket_next;
-  util::Arena arena;
-  std::vector<std::uint32_t> succ_batch;  // step's successor ids (ungated)
-  std::vector<std::uint32_t> ready_out;   // slots returned by the kernel
-  util::simd::BatchScratch batch_scratch;
-};
-
-SlotScratch& slot_scratch() {
-  thread_local SlotScratch scratch;
-  return scratch;
-}
-
-/// The slot-map engine: the fast path for bounded-small-integer priorities.
-///
-/// Every task is assigned a static SLOT, dense within its processor's padded
-/// region: slots are ordered by (processor, rebased priority, task id), and
-/// each processor's region starts at p << log2r (r = padded region size, a
-/// power of two), so the processor of a slot is slot >> log2r. The ready set
-/// is then a single bitmap over slots, and:
-///   push  = set the task's slot bit (plus per-processor hint/count upkeep);
-///           no random loads — the slot rides in the packed indegree word.
-///   pop   = find-first-set from the processor's hint; the lowest live slot
-///           IS the (priority, task id) minimum, so this reproduces the
-///           reference heap order bit-for-bit with ~2 word reads + ctz.
-/// The per-task word packs (slot << 8) | remaining_indegree, so the edge
-/// walk's decrement also delivers the slot of a newly-ready task for free.
-/// Requires max indegree <= 255 and m << log2r < 2^24 (checked; the caller
-/// falls back to the heap engine when this returns nullopt).
-template <bool kGated>
-std::optional<Schedule> run_slot_engine(const dag::TaskGraph& tg,
-                                        const Assignment& assignment,
-                                        std::size_t n_processors,
-                                        const ListScheduleOptions& options,
-                                        std::int64_t min_priority,
-                                        std::size_t width) {
-  const std::size_t total = tg.n_tasks();
-  const std::uint32_t* indeg = tg.indegrees().data();
-  const std::uint32_t* cell = tg.cells().data();
-  const std::int64_t* priority =
-      options.priorities.empty() ? nullptr : options.priorities.data();
-
-  obs::PhaseSpan build_phase("engine.slot.build");
-  SlotScratch& scratch = slot_scratch();
-
-  // Pass 1: per-(processor, priority) histogram.
-  scratch.bucket_next.assign(n_processors * width, 0);
-  std::uint32_t* bucket_next = scratch.bucket_next.data();
-  for (std::size_t t = 0; t < total; ++t) {
-    const std::size_t p = assignment[cell[t]];
-    const std::size_t b =
-        priority != nullptr
-            ? static_cast<std::size_t>(priority[t] - min_priority)
-            : 0;
-    ++bucket_next[p * width + b];
-  }
-  std::size_t max_per_proc = 64;  // at least one bitmap word per processor
-  for (std::size_t p = 0; p < n_processors; ++p) {
-    std::size_t load = 0;
-    for (std::size_t b = 0; b < width; ++b) load += bucket_next[p * width + b];
-    max_per_proc = std::max(max_per_proc, load);
-  }
-  const auto log2r =
-      static_cast<std::uint32_t>(std::bit_width(max_per_proc - 1));
-  const std::size_t n_slots = n_processors << log2r;
-  if (n_slots > kMaxPackedSlots) return std::nullopt;
-
-  // One reservation covers every lane of this call; the allocs below are
-  // cursor bumps into the warm block.
-  util::Arena& arena = scratch.arena;
-  arena.reserve(util::Arena::lane_bytes<std::uint32_t>(total) +
-                util::Arena::lane_bytes<Task32>(n_slots) +
-                util::Arena::lane_bytes<std::uint64_t>(n_slots / 64 + 1) +
-                util::Arena::lane_bytes<std::uint32_t>(n_processors) * 2 +
-                util::Arena::lane_bytes<char>(n_processors));
-
-  // Exclusive scan, in place: bucket_next[pb] becomes the next free slot of
-  // bucket pb, starting each processor's run at its padded region base.
-  for (std::size_t p = 0; p < n_processors; ++p) {
-    auto acc = static_cast<std::uint32_t>(p << log2r);
-    for (std::size_t b = 0; b < width; ++b) {
-      const std::uint32_t count = bucket_next[p * width + b];
-      bucket_next[p * width + b] = acc;
-      acc += count;
-    }
-  }
-
-  // Pass 2: assign slots (ascending t within a bucket => ascending task id,
-  // the tie-break order) and build the packed words + slot -> task map.
-  std::uint32_t* packed = arena.alloc<std::uint32_t>(total);
-  Task32* task_at = arena.alloc<Task32>(n_slots);
-  for (std::size_t t = 0; t < total; ++t) {
-    const std::size_t p = assignment[cell[t]];
-    const std::size_t b =
-        priority != nullptr
-            ? static_cast<std::size_t>(priority[t] - min_priority)
-            : 0;
-    const std::uint32_t s = bucket_next[p * width + b]++;
-    packed[t] = (s << 8) | indeg[t];
-    task_at[s] = static_cast<Task32>(t);
-  }
-
-  Schedule schedule(tg.n_cells(), tg.n_directions(), n_processors, assignment);
-  std::uint64_t* bitmap = arena.alloc_zero<std::uint64_t>(n_slots / 64 + 1);
-  // hint[p]: no live slot of processor p is below this (valid iff queued>0).
-  std::uint32_t* hint = arena.alloc<std::uint32_t>(n_processors);
-  std::uint32_t* queued = arena.alloc_zero<std::uint32_t>(n_processors);
-  char* active_flag = arena.alloc_zero<char>(n_processors);
-  std::vector<ProcessorId> active;
-  active.reserve(n_processors);
-
-  auto push_slot = [&](std::uint32_t s) {
-    const std::size_t p = s >> log2r;
-    bitmap[s >> 6] |= 1ull << (s & 63);
-    if (queued[p] == 0 || s < hint[p]) hint[p] = s;
-    ++queued[p];
-    if (!active_flag[p]) {
-      active_flag[p] = 1;
-      active.push_back(static_cast<ProcessorId>(p));
-    }
-  };
-
-  // Gated-only state, as in the heap engine.
-  using Release = std::pair<TimeStep, Task32>;
-  std::priority_queue<Release, std::vector<Release>, std::greater<>> pending;
-  const TimeStep* release =
-      options.release_times.empty() ? nullptr : options.release_times.data();
-  std::vector<TimeStep> earliest;
-  if (kGated && options.cross_message_delay > 0) earliest.assign(total, 0);
-
-  auto enqueue_ready = [&](Task32 t, TimeStep now) {
-    if constexpr (kGated) {
-      TimeStep rel = release != nullptr ? release[t] : 0;
-      if (!earliest.empty()) rel = std::max(rel, earliest[t]);
-      if (rel > now) {
-        pending.push({rel, t});
-        return;
-      }
-    }
-    push_slot(packed[t] >> 8);
-  };
-
-  for (std::size_t t = 0; t < total; ++t) {
-    if ((packed[t] & 0xFF) == 0) enqueue_ready(static_cast<Task32>(t), 0);
-  }
-  build_phase.done();
-  obs::PhaseSpan run_phase("engine.slot.run");
-
-  std::size_t done = 0;
-  std::vector<Task32> finished;
-  finished.reserve(n_processors);
-  std::vector<ProcessorId> still_active;
-  still_active.reserve(n_processors);
-  std::uint64_t scan_words = 0;
-  std::size_t peak_active = 0;
-  const std::uint32_t* offsets = tg.offsets().data();
-  util::simd::BatchStats simd_stats;
-
-  TimeStep now = 0;
-  while (done < total) {
-    if constexpr (kGated) {
-      while (!pending.empty() && pending.top().first <= now) {
-        const Task32 task = pending.top().second;
-        pending.pop();
-        push_slot(packed[task] >> 8);
-      }
-      if (active.empty()) {
-        if (pending.empty()) {
-          throw std::logic_error(
-              "list_schedule: deadlock — instance DAG has a cycle");
-        }
-        now = pending.top().first;
-        continue;
-      }
-    } else {
-      if (active.empty()) {
-        throw std::logic_error(
-            "list_schedule: deadlock — instance DAG has a cycle");
-      }
-    }
-
-    // Each active processor runs its lowest live slot this step.
+    // Each active region (processor) runs its lowest live slot this step.
     finished.clear();
     still_active.clear();
     peak_active = std::max(peak_active, active.size());
-    for (ProcessorId p : active) {
-      std::size_t w = hint[p] >> 6;
-      std::uint64_t word = bitmap[w] & (~0ull << (hint[p] & 63));
+    for (const std::uint32_t r : active) {
+      std::size_t w = hint[r] >> 6;
+      std::uint64_t word = bitmap[w] & (~0ull << (hint[r] & 63));
       while (word == 0) {
         word = bitmap[++w];
         ++scan_words;
@@ -390,61 +217,27 @@ std::optional<Schedule> run_slot_engine(const dag::TaskGraph& tg,
       const auto s =
           static_cast<std::uint32_t>((w << 6) + std::countr_zero(word));
       bitmap[w] &= ~(1ull << (s & 63));
-      hint[p] = s;
+      hint[r] = s;
       const Task32 task = task_at[s];
-      --queued[p];
       schedule.set_start(task, now);
       finished.push_back(task);
-      if (queued[p] == 0) {
-        active_flag[p] = 0;
-      } else {
-        still_active.push_back(p);
-      }
+      if (--queued[r] != 0) still_active.push_back(r);
     }
     active.swap(still_active);
     done += finished.size();
 
-    for (Task32 task : finished) {
-      if constexpr (kGated) {
-        const std::uint32_t task_proc = (packed[task] >> 8) >> log2r;
-        for (Task32 succ : tg.successors(task)) {
-          if (!earliest.empty() &&
-              ((packed[succ] >> 8) >> log2r) != task_proc) {
+    // Newly ready successors become available from now+1 (or their release;
+    // or now+1+c if the message must cross processors).
+    for (const Task32 task : finished) {
+      const std::uint64_t task_region = place[task] >> 32;
+      for (const Task32 succ : tg.successors(task)) {
+        if constexpr (kGated) {
+          if (!earliest.empty() && (place[succ] >> 32) != task_region) {
             earliest[succ] = std::max(earliest[succ],
                                       now + 1 + options.cross_message_delay);
           }
-          if ((--packed[succ] & 0xFF) == 0) enqueue_ready(succ, now + 1);
         }
-      }
-    }
-    if constexpr (!kGated) {
-      // Batch every finished task's successors and retire the step's edge
-      // set with the SIMD decrement kernel (util/simd.hpp). The kernel
-      // decrements each packed word's low indegree byte by the id's
-      // multiplicity and hands back the slot payloads (word >> 8) of the
-      // words that reached zero; the zero-crossing set is order-invariant
-      // under decrements, so batching cannot change which slots get
-      // pushed. Prefetch the next finished task's CSR row header one
-      // iteration ahead — finished ids jump across the offsets lane.
-      std::vector<std::uint32_t>& batch = scratch.succ_batch;
-      batch.clear();
-      for (std::size_t i = 0; i < finished.size(); ++i) {
-        if (i + 1 < finished.size()) {
-          util::simd::prefetch_read(offsets + finished[i + 1]);
-        }
-        const auto succs = tg.successors(finished[i]);
-        batch.insert(batch.end(), succs.begin(), succs.end());
-      }
-      if (!batch.empty()) {
-        if (scratch.ready_out.size() < batch.size()) {
-          scratch.ready_out.resize(batch.size());
-        }
-        const std::size_t zeros = util::simd::decrement_packed_to_zero(
-            packed, batch.data(), batch.size(), scratch.ready_out.data(),
-            scratch.batch_scratch, &simd_stats);
-        for (std::size_t i = 0; i < zeros; ++i) {
-          push_slot(scratch.ready_out[i]);
-        }
+        if (--indeg[succ] == 0) enqueue_ready(succ, now + 1);
       }
     }
     ++now;
@@ -452,8 +245,6 @@ std::optional<Schedule> run_slot_engine(const dag::TaskGraph& tg,
   run_phase.done();
   SWEEP_OBS_COUNTER_ADD("engine.slot.runs", 1);
   SWEEP_OBS_COUNTER_ADD("engine.slot.scan_words", scan_words);
-  SWEEP_OBS_COUNTER_ADD("engine.simd.batches", simd_stats.batches);
-  SWEEP_OBS_COUNTER_ADD("engine.simd.fallbacks", simd_stats.fallbacks);
   SWEEP_OBS_COUNTER_ADD("engine.pops", done);
   SWEEP_OBS_COUNTER_ADD("engine.steps", now);
   if (now > 0) {
@@ -508,73 +299,10 @@ Schedule list_schedule(const dag::TaskGraph& tg, const Assignment& assignment,
   SWEEP_OBS_SCOPE("core.list_schedule");
   validate_inputs(tg.n_cells(), tg.n_tasks(), assignment, n_processors,
                   options, "list_schedule");
-  const std::int64_t* priority =
-      options.priorities.empty() ? nullptr : options.priorities.data();
-
-  std::int64_t min_priority = 0;
-  std::int64_t max_priority = 0;
-  if (priority != nullptr) {
-    const auto [lo, hi] = std::minmax_element(options.priorities.begin(),
-                                              options.priorities.end());
-    min_priority = *lo;
-    max_priority = *hi;
-  }
-  const auto range = static_cast<std::uint64_t>(max_priority - min_priority);
-  // Bucketable = the priority span fits the (range + 1) * m bucket layout.
-  // The serial slot engine additionally needs indegrees to fit its packed
-  // (slot << 8) | indegree words; the sharded engine keeps a full u32
-  // indegree lane and has no such cap.
-  const bool bucketable = range <= kMaxBucketRange &&
-                          (range + 1) * n_processors <= kMaxTotalBuckets;
-  const bool slottable = bucketable && tg.max_indegree() <= kMaxPackedIndegree;
-  if (options.ready_queue == ReadyQueueKind::kBucket && !slottable) {
-    // The explicit kBucket request is about to be served by the heap; the
-    // fallback used to be silent, which hid misconfigured benchmarks.
-    SWEEP_OBS_COUNTER_ADD("engine.bucket_fallback", 1);
-  }
-  const bool use_slots =
-      options.ready_queue != ReadyQueueKind::kHeap && slottable;
   const bool gated =
       !options.release_times.empty() || options.cross_message_delay > 0;
-
-  if (options.jobs != 1 && !gated && bucketable &&
-      options.ready_queue != ReadyQueueKind::kHeap &&
-      detail::resolve_engine_workers(options.jobs, n_processors) > 1) {
-    const auto width = static_cast<std::size_t>(range) + 1;
-    std::optional<Schedule> result = detail::sharded_list_schedule(
-        tg, assignment, n_processors, options.priorities, min_priority, width,
-        options.jobs);
-    if (result.has_value()) return *std::move(result);
-    // Padded slot space overflowed: fall through to the serial engines.
-    SWEEP_OBS_COUNTER_ADD("engine.sharded.fallbacks", 1);
-  }
-
-  if (use_slots) {
-    const auto width = static_cast<std::size_t>(range) + 1;
-    std::optional<Schedule> result =
-        gated ? run_slot_engine<true>(tg, assignment, n_processors, options,
-                                      min_priority, width)
-              : run_slot_engine<false>(tg, assignment, n_processors, options,
-                                       min_priority, width);
-    if (result.has_value()) return *std::move(result);
-    // Slot space overflowed (pathologically skewed assignment): fall through.
-    SWEEP_OBS_COUNTER_ADD("engine.slot.fallbacks", 1);
-  }
-  std::vector<HeapRec> rec(tg.n_tasks());
-  {
-    const std::uint32_t* indeg = tg.indegrees().data();
-    const std::uint32_t* cell = tg.cells().data();
-    for (std::size_t t = 0; t < tg.n_tasks(); ++t) {
-      rec[t].indegree = indeg[t];
-      rec[t].proc = assignment[cell[t]];
-      rec[t].prio = priority != nullptr ? priority[t] : 0;
-    }
-  }
-  HeapReadyQueues ready(n_processors);
-  return gated ? run_heap_engine<true>(tg, assignment, n_processors, options,
-                                       ready, rec)
-               : run_heap_engine<false>(tg, assignment, n_processors, options,
-                                        ready, rec);
+  return gated ? run_slot_engine<true>(tg, assignment, n_processors, options)
+               : run_slot_engine<false>(tg, assignment, n_processors, options);
 }
 
 Schedule list_schedule_reference(const dag::SweepInstance& instance,

@@ -17,13 +17,6 @@
 
 namespace sweep::core {
 
-/// Ready-set data structure used by the engine. kAuto picks per-processor
-/// bucket queues when the priority range is a bounded small integer span
-/// (levels, depths — the common case), falling back to binary heaps for
-/// arbitrary 64-bit priorities (descendant counts). All choices produce
-/// bit-identical schedules; the options exist for testing and benchmarking.
-enum class ReadyQueueKind { kAuto, kHeap, kBucket };
-
 struct ListScheduleOptions {
   /// Per-task priority; SMALLER runs first; ties broken by task id.
   /// Empty means all tasks have equal priority.
@@ -36,17 +29,12 @@ struct ListScheduleOptions {
   /// restricted by the sweep same-processor constraint). 0 = the paper's
   /// zero-communication analysis setting.
   TimeStep cross_message_delay = 0;
-  /// Ready-set implementation. kBucket is honored only when the priority
-  /// range is narrow enough to bucket (otherwise the heap is used anyway,
-  /// counted by the `engine.bucket_fallback` metric).
-  ReadyQueueKind ready_queue = ReadyQueueKind::kAuto;
-  /// Engine worker threads: 1 (default) = the serial engines; 0 = one
-  /// worker per core; N = at most N workers (clamped to n_processors).
-  /// Values other than 1 route eligible calls through the sharded
-  /// work-stealing engine (DESIGN.md §12). Every value of `jobs` produces
-  /// the same bit-identical schedule; gated calls (release times or
-  /// cross_message_delay), ready_queue == kHeap, and priority ranges too
-  /// wide to bucket always use the serial engines regardless.
+  /// Has no effect: there is one engine and it is serial. A sharded
+  /// work-stealing engine used to run here for jobs != 1; it paid two
+  /// fork/joins per simulated timestep and measured 3-4x slower than the
+  /// serial engine at 4 cores (DESIGN.md §12), so it was deleted. Parallelism
+  /// lives across schedules instead (trial fan-outs, per-request serving).
+  /// The field stays so that existing callers keep compiling.
   std::size_t jobs = 1;
 };
 
@@ -70,8 +58,7 @@ Schedule list_schedule(const dag::TaskGraph& graph, const Assignment& assignment
 /// The pre-engine implementation (per-direction DAG walks, task-id
 /// arithmetic per edge, binary heaps). Produces bit-identical schedules to
 /// list_schedule; kept as the oracle for the engine equivalence tests and as
-/// the "old path" in the throughput microbenchmarks. Ignores
-/// options.ready_queue.
+/// the "old path" in the throughput microbenchmarks.
 Schedule list_schedule_reference(const dag::SweepInstance& instance,
                                  const Assignment& assignment,
                                  std::size_t n_processors,

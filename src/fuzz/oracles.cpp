@@ -1,6 +1,7 @@
 #include "fuzz/oracles.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -172,14 +173,26 @@ void run_benign_oracles(const Scenario& s, OracleReport& report) {
     }
   });
 
-  // Oracle 3: engine identity — the production engine (both ready-queue
-  // implementations) against the preserved reference implementation,
-  // including release times and cross-message delays.
+  // Oracle 3: engine identity — the production engine against the
+  // preserved reference implementation, including release times and
+  // cross-message delays, under two priority vectors: level priorities, and
+  // a wide int64 draw with the extremes mixed in (ranges past 2^63, ties).
   check("engine_identity", [&] {
-    const auto priorities = core::level_priorities(*instance);
+    const auto level = core::level_priorities(*instance);
+    std::vector<std::int64_t> wide(level.size());
+    {
+      util::Rng rng(s.seed + 23);
+      constexpr std::int64_t kEnds[] = {
+          std::numeric_limits<std::int64_t>::min(), -1, 0,
+          std::numeric_limits<std::int64_t>::max()};
+      for (auto& p : wide) {
+        const std::uint64_t draw = rng();
+        p = draw % 4 == 0 ? kEnds[(draw >> 2) % 4]
+                          : static_cast<std::int64_t>(draw);
+      }
+    }
     std::vector<TimeStep> releases;
     core::ListScheduleOptions options;
-    options.priorities = priorities;
     options.cross_message_delay = s.delay;
     if (s.seed % 2 == 0 && k > 0) {
       util::Rng rng(s.seed + 17);
@@ -187,31 +200,18 @@ void run_benign_oracles(const Scenario& s, OracleReport& report) {
       releases = core::delay_release_times(*instance, delays);
       options.release_times = releases;
     }
-    options.ready_queue = core::ReadyQueueKind::kHeap;
-    const Schedule heap = core::list_schedule(*instance, assignment, m, options);
-    options.ready_queue = core::ReadyQueueKind::kBucket;
-    const Schedule bucket =
-        core::list_schedule(*instance, assignment, m, options);
-    const Schedule reference =
-        core::list_schedule_reference(*instance, assignment, m, options);
-    if (heap.starts() != reference.starts()) {
-      fail("engine_identity", "heap engine diverges from reference");
-    }
-    if (bucket.starts() != reference.starts()) {
-      fail("engine_identity", "bucket engine diverges from reference");
-    }
-    // The sharded work-stealing engine must match too, for every worker
-    // count. Gated inputs (releases / delay) silently use the serial
-    // engines — that dispatch decision is part of what this exercises.
-    options.ready_queue = core::ReadyQueueKind::kAuto;
-    for (const std::size_t jobs : {2u, 8u}) {
-      options.jobs = jobs;
-      const Schedule sharded =
+    const std::vector<std::int64_t>* const cases[] = {&level, &wide};
+    for (const std::vector<std::int64_t>* priorities : cases) {
+      options.priorities = *priorities;
+      const Schedule engine =
           core::list_schedule(*instance, assignment, m, options);
-      if (sharded.starts() != reference.starts()) {
-        fail("engine_identity", "sharded engine (jobs=" +
-                                    std::to_string(jobs) +
-                                    ") diverges from reference");
+      const Schedule reference =
+          core::list_schedule_reference(*instance, assignment, m, options);
+      if (engine.starts() != reference.starts()) {
+        fail("engine_identity",
+             std::string("engine diverges from reference under ") +
+                 (priorities == &level ? "level" : "wide int64") +
+                 " priorities");
       }
     }
   });

@@ -57,10 +57,9 @@ Scenario sample_scenario(util::Rng& rng) {
   } else if (roll < 0.84) {
     s.family = Family::kEdgeless;
   } else if (roll < 0.90) {
-    // High fan-in funnels: sample n to straddle the packed engines'
-    // 255-indegree cap, so campaigns pin both sides of the slot -> heap
-    // fallback plus the SIMD decrement kernels' collapse/tail paths
-    // (one hub id repeated hundreds of times in a single resolve batch).
+    // High fan-in funnels: n is sampled around 256, so hub indegrees
+    // straddle 255, the largest count one byte holds, and one hub id is
+    // decremented hundreds of times in a single timestep.
     s.family = Family::kFanIn;
     s.n = static_cast<std::uint32_t>(200 + rng.next_below(120));
     return s;
@@ -156,10 +155,9 @@ dag::SweepInstance materialize(const Scenario& s) {
     }
     case Family::kFanIn: {
       // Funnel: every source node feeds every hub sink, so each of the
-      // `hubs` last nodes has indegree n - hubs — sampled around the
-      // packed engines' 255-indegree cap. One finished front dumps the
-      // same hub id hundreds of times into a single resolve batch, the
-      // exact shape the SIMD kernels' duplicate collapse exists for.
+      // `hubs` last nodes has indegree n - hubs — sampled around 255, the
+      // largest count one byte holds. One finished front decrements the
+      // same hub hundreds of times within a single timestep.
       const std::uint32_t n = std::max<std::uint32_t>(2, s.n);
       const std::uint32_t k = std::max<std::uint32_t>(1, s.k);
       const std::uint32_t hubs = std::min(n - 1, 1 + s.layers % 4);

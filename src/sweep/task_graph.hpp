@@ -88,14 +88,12 @@ class TaskGraph {
   [[nodiscard]] std::uint32_t level(std::size_t t) const { return level_[t]; }
   [[nodiscard]] std::uint32_t cell(std::size_t t) const { return cell_[t]; }
   [[nodiscard]] std::uint32_t max_level() const { return max_level_; }
-  /// Largest predecessor count over all tasks (schedulers use this to decide
-  /// whether the packed slot-map ready queue applies).
+  /// Largest predecessor count over all tasks (recorded in artifact
+  /// headers).
   [[nodiscard]] std::uint32_t max_indegree() const { return max_indegree_; }
 
-  /// Raw CSR arrays (offsets() has n_tasks() + 1 entries). The sharded
-  /// engine drains whole successor runs [offsets()[t], offsets()[t+1])
-  /// from targets() in one contiguous read instead of going through the
-  /// per-task successors() span.
+  /// Raw CSR arrays (offsets() has n_tasks() + 1 entries); the artifact
+  /// writer stores them as sections verbatim.
   [[nodiscard]] std::span<const std::uint32_t> offsets() const {
     return offsets_;
   }

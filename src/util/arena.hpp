@@ -1,15 +1,11 @@
 #pragma once
-// 64-byte-aligned bump arena for the scheduling engines' per-call scratch
-// state (DESIGN.md §12). The engines' hot loops walk several parallel
-// per-task lanes (indegree, slot, processor, bucket); carving them out of
-// one reusable allocation
-//   - starts every lane on its own cache line (no false sharing between
-//     lanes that different shards write),
+// 64-byte-aligned bump arena for the scheduling engine's per-call scratch
+// state (DESIGN.md §8.2). The engine walks several per-task lanes (radix-sort
+// ids and keys, indegree, slot placement, the ready bitmap); carving them out
+// of one reusable allocation
+//   - starts every lane on its own cache line,
 //   - replaces N vector allocations per call with zero once warm (trial
-//     fan-outs run thousands of schedules per thread),
-//   - keeps lane base pointers computable from one block pointer, which is
-//     what lets the batched indegree kernels autovectorize (the compiler
-//     can assume 64-byte alignment via the aligned allocation).
+//     fan-outs run thousands of schedules per thread).
 //
 // Usage: reserve() the call's total footprint once, then alloc() each lane.
 // alloc() never grows the block — growth would invalidate previously

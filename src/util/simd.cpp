@@ -1,227 +1,16 @@
 #include "util/simd.hpp"
 
-#include <algorithm>
-#include <atomic>
-
-#if !defined(SWEEP_SIMD_DISABLE)
-#if (defined(__x86_64__) || defined(__i386__)) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define SWEEP_SIMD_X86 1
-#include <immintrin.h>
-#elif defined(__ARM_NEON)
-#define SWEEP_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
-#endif  // !SWEEP_SIMD_DISABLE
-
 namespace sweep::util::simd {
 namespace {
 
 Level probe_level() {
-#if defined(SWEEP_SIMD_X86)
+#if (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__GNUC__) || defined(__clang__))
   if (__builtin_cpu_supports("avx2")) return Level::kAVX2;
-#elif defined(SWEEP_SIMD_NEON)
+#elif defined(__ARM_NEON)
   return Level::kNEON;
 #endif
   return Level::kScalar;
-}
-
-/// The force_level() clamp. Level::kAVX2 is the identity element: active =
-/// min(forced, detected), and no real level exceeds kAVX2.
-std::atomic<Level> g_forced{Level::kAVX2};
-
-/// Sorts the batch and collapses duplicate runs into scratch.unique /
-/// scratch.counts. Returns the number of unique ids.
-std::size_t sort_collapse(const std::uint32_t* ids, std::size_t n,
-                          BatchScratch& s) {
-  s.sorted.assign(ids, ids + n);
-  std::sort(s.sorted.begin(), s.sorted.end());
-  if (s.unique.size() < n) {
-    s.unique.resize(n);
-    s.counts.resize(n);
-  }
-  std::size_t u = 0;
-  for (std::size_t i = 0; i < n;) {
-    const std::uint32_t id = s.sorted[i];
-    std::size_t j = i + 1;
-    while (j < n && s.sorted[j] == id) ++j;
-    s.unique[u] = id;
-    s.counts[u] = static_cast<std::uint32_t>(j - i);
-    ++u;
-    i = j;
-  }
-  return u;
-}
-
-/// Scalar retire loop over the collapsed (id, count) pairs. kPacked selects
-/// the (slot << 8) | indegree semantics (zero test on the low byte, slot
-/// payload out).
-template <bool kPacked>
-std::size_t retire_unique_scalar(std::uint32_t* vals, const BatchScratch& s,
-                                 std::size_t n_unique, std::uint32_t* out) {
-  std::size_t zeros = 0;
-  for (std::size_t i = 0; i < n_unique; ++i) {
-    const std::uint32_t id = s.unique[i];
-    const std::uint32_t res = vals[id] - s.counts[i];
-    vals[id] = res;
-    if constexpr (kPacked) {
-      if ((res & 0xFFu) == 0) out[zeros++] = res >> 8;
-    } else {
-      if (res == 0) out[zeros++] = id;
-    }
-  }
-  return zeros;
-}
-
-/// Per-occurrence scalar path for sub-threshold batches (no sort).
-template <bool kPacked>
-std::size_t retire_small_scalar(std::uint32_t* vals, const std::uint32_t* ids,
-                                std::size_t n, std::uint32_t* out) {
-  std::size_t zeros = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t res = --vals[ids[i]];
-    if constexpr (kPacked) {
-      if ((res & 0xFFu) == 0) out[zeros++] = res >> 8;
-    } else {
-      if (res == 0) out[zeros++] = ids[i];
-    }
-  }
-  return zeros;
-}
-
-#if defined(SWEEP_SIMD_X86)
-
-/// AVX2 retire loop: 8 collapsed (id, count) pairs per block — gather the
-/// counters, subtract the run lengths, scatter back with scalar stores
-/// (AVX2 has no scatter), and movemask the compare-to-zero lanes. The ids
-/// are unique within the batch by construction, so the gather/modify/
-/// scatter cannot lose a decrement to an intra-vector conflict.
-template <bool kPacked>
-__attribute__((target("avx2"))) std::size_t retire_unique_avx2(
-    std::uint32_t* vals, const BatchScratch& s, std::size_t n_unique,
-    std::uint32_t* out, BatchStats* stats) {
-  const std::uint32_t* unique = s.unique.data();
-  const std::uint32_t* counts = s.counts.data();
-  std::size_t zeros = 0;
-  std::size_t i = 0;
-  const std::size_t n_blocks = n_unique / 8;
-  for (std::size_t b = 0; b < n_blocks; ++b, i += 8) {
-    const __m256i vidx = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(unique + i));
-    const __m256i vcnt = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(counts + i));
-    const __m256i vold = _mm256_i32gather_epi32(
-        reinterpret_cast<const int*>(vals), vidx, 4);
-    const __m256i vres = _mm256_sub_epi32(vold, vcnt);
-    alignas(32) std::uint32_t res[8];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(res), vres);
-    for (int l = 0; l < 8; ++l) vals[unique[i + l]] = res[l];
-    const __m256i probe =
-        kPacked ? _mm256_and_si256(vres, _mm256_set1_epi32(0xFF)) : vres;
-    const __m256i vzero =
-        _mm256_cmpeq_epi32(probe, _mm256_setzero_si256());
-    unsigned mask = static_cast<unsigned>(
-        _mm256_movemask_ps(_mm256_castsi256_ps(vzero)));
-    while (mask != 0) {
-      const int l = __builtin_ctz(mask);
-      out[zeros++] = kPacked ? (res[l] >> 8) : unique[i + l];
-      mask &= mask - 1;
-    }
-  }
-  if (stats != nullptr) {
-    stats->batches += n_blocks;
-    stats->fallbacks += n_unique - i;
-  }
-  for (; i < n_unique; ++i) {
-    const std::uint32_t id = unique[i];
-    const std::uint32_t res = vals[id] - counts[i];
-    vals[id] = res;
-    if constexpr (kPacked) {
-      if ((res & 0xFFu) == 0) out[zeros++] = res >> 8;
-    } else {
-      if (res == 0) out[zeros++] = id;
-    }
-  }
-  return zeros;
-}
-
-#endif  // SWEEP_SIMD_X86
-
-#if defined(SWEEP_SIMD_NEON)
-
-/// NEON retire loop: 4 pairs per block; NEON has no gather, so lanes are
-/// loaded scalar and the subtract/compare run vectorized.
-template <bool kPacked>
-std::size_t retire_unique_neon(std::uint32_t* vals, const BatchScratch& s,
-                               std::size_t n_unique, std::uint32_t* out,
-                               BatchStats* stats) {
-  const std::uint32_t* unique = s.unique.data();
-  const std::uint32_t* counts = s.counts.data();
-  std::size_t zeros = 0;
-  std::size_t i = 0;
-  const std::size_t n_blocks = n_unique / 4;
-  for (std::size_t b = 0; b < n_blocks; ++b, i += 4) {
-    alignas(16) std::uint32_t gathered[4];
-    for (int l = 0; l < 4; ++l) gathered[l] = vals[unique[i + l]];
-    const uint32x4_t vold = vld1q_u32(gathered);
-    const uint32x4_t vcnt = vld1q_u32(counts + i);
-    const uint32x4_t vres = vsubq_u32(vold, vcnt);
-    alignas(16) std::uint32_t res[4];
-    vst1q_u32(res, vres);
-    for (int l = 0; l < 4; ++l) vals[unique[i + l]] = res[l];
-    const uint32x4_t probe =
-        kPacked ? vandq_u32(vres, vdupq_n_u32(0xFF)) : vres;
-    const uint32x4_t vzero = vceqq_u32(probe, vdupq_n_u32(0));
-    alignas(16) std::uint32_t zmask[4];
-    vst1q_u32(zmask, vzero);
-    for (int l = 0; l < 4; ++l) {
-      if (zmask[l] != 0) {
-        out[zeros++] = kPacked ? (res[l] >> 8) : unique[i + l];
-      }
-    }
-  }
-  if (stats != nullptr) {
-    stats->batches += n_blocks;
-    stats->fallbacks += n_unique - i;
-  }
-  for (; i < n_unique; ++i) {
-    const std::uint32_t id = unique[i];
-    const std::uint32_t res = vals[id] - counts[i];
-    vals[id] = res;
-    if constexpr (kPacked) {
-      if ((res & 0xFFu) == 0) out[zeros++] = res >> 8;
-    } else {
-      if (res == 0) out[zeros++] = id;
-    }
-  }
-  return zeros;
-}
-
-#endif  // SWEEP_SIMD_NEON
-
-template <bool kPacked>
-std::size_t decrement_impl(std::uint32_t* vals, const std::uint32_t* ids,
-                           std::size_t n, std::uint32_t* out,
-                           BatchScratch& scratch, BatchStats* stats) {
-  if (n == 0) return 0;
-  if (n < kSortThreshold) {
-    if (stats != nullptr) stats->fallbacks += n;
-    return retire_small_scalar<kPacked>(vals, ids, n, out);
-  }
-  const std::size_t n_unique = sort_collapse(ids, n, scratch);
-  switch (active_level()) {
-#if defined(SWEEP_SIMD_X86)
-    case Level::kAVX2:
-      return retire_unique_avx2<kPacked>(vals, scratch, n_unique, out, stats);
-#endif
-#if defined(SWEEP_SIMD_NEON)
-    case Level::kNEON:
-      return retire_unique_neon<kPacked>(vals, scratch, n_unique, out, stats);
-#endif
-    default:
-      if (stats != nullptr) stats->fallbacks += n_unique;
-      return retire_unique_scalar<kPacked>(vals, scratch, n_unique, out);
-  }
 }
 
 }  // namespace
@@ -241,27 +30,6 @@ const char* level_name(Level level) {
 Level detected_level() {
   static const Level level = probe_level();
   return level;
-}
-
-Level active_level() {
-  return std::min(g_forced.load(std::memory_order_relaxed), detected_level());
-}
-
-void force_level(Level level) {
-  g_forced.store(level, std::memory_order_relaxed);
-}
-
-std::size_t decrement_to_zero(std::uint32_t* vals, const std::uint32_t* ids,
-                              std::size_t n, std::uint32_t* out,
-                              BatchScratch& scratch, BatchStats* stats) {
-  return decrement_impl<false>(vals, ids, n, out, scratch, stats);
-}
-
-std::size_t decrement_packed_to_zero(std::uint32_t* vals,
-                                     const std::uint32_t* ids, std::size_t n,
-                                     std::uint32_t* out, BatchScratch& scratch,
-                                     BatchStats* stats) {
-  return decrement_impl<true>(vals, ids, n, out, scratch, stats);
 }
 
 }  // namespace sweep::util::simd

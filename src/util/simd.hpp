@@ -1,114 +1,18 @@
 #pragma once
-// Data-parallel kernels for the scheduling engines' hot loops (DESIGN.md
-// §16): batched indegree decrements with zero-crossing detection, plus a
-// software-prefetch helper for the CSR edge walks.
-//
-// The engines' resolve phases reduce to "for each id in a drained batch,
-// decrement a counter; collect the ids whose counter hit zero". The batch
-// is unsorted and may contain duplicates (several predecessors of one task
-// finishing in the same timestep). Because the decrements commute and each
-// counter crosses zero exactly once per batch, the kernel is free to
-// reorder: it sorts the batch, collapses duplicate runs into (id, count)
-// pairs, and then retires the unique ids in vector blocks — gather,
-// subtract the run lengths, scatter, compare-to-zero. Sorting also turns
-// the scatter into an ascending walk over the counter lane, which is what
-// makes the batch cache- and prefetch-friendly at 10M-task scale.
-//
-// Dispatch rules (also DESIGN.md §16):
-//  - detected_level() probes the CPU once at runtime (AVX2 via
-//    __builtin_cpu_supports on x86-64, NEON by compilation target). The
-//    portable scalar path is always compiled and always available.
-//  - force_level() clamps the active level downward — tests and the
-//    engine_kernels bench A/B the vector and scalar paths in one binary
-//    and assert bit-identical results.
-//  - Building with SWEEP_SIMD=OFF (compile definition SWEEP_SIMD_DISABLE)
-//    compiles the intrinsics out entirely; detected_level() is kScalar.
-//
-// Why bit-identity survives batching: the kernels only ever change the
-// *order* of commuting counter decrements and of the zero-crossing
-// callbacks; the final counter lane and the *set* of zero-crossed ids are
-// order-invariant, and both engines consume that set through operations
-// that also commute (bitmap set, min-hint update, count increment). The
-// output order of `out` is therefore deliberately unspecified.
+// CPU vector-level probe, reported in benchmark host fingerprints so that
+// results taken on machines with different instruction sets are told apart.
 
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace sweep::util::simd {
 
-/// Instruction-set levels, ordered: forcing is only ever a downgrade.
+/// Instruction-set levels, ordered from least to most capable.
 enum class Level : std::uint8_t { kScalar = 0, kNEON = 1, kAVX2 = 2 };
 
 [[nodiscard]] const char* level_name(Level level);
 
-/// The best level this build + this machine supports (probed once).
+/// The best level this build + this machine supports (probed once: AVX2 via
+/// __builtin_cpu_supports on x86-64, NEON by compilation target).
 [[nodiscard]] Level detected_level();
-
-/// The level the kernels currently run at: detected_level() unless
-/// force_level() lowered it.
-[[nodiscard]] Level active_level();
-
-/// Clamps the active level to min(level, detected_level()). Thread-safe
-/// (relaxed atomic); intended for process-wide A/B switches in benches and
-/// bit-identity tests, not for per-call toggling.
-void force_level(Level level);
-
-/// Kernel work accounting, accumulated by the caller and exported as the
-/// engine.simd.{batches,fallbacks} counters: `batches` counts retired
-/// vector blocks, `fallbacks` counts ids handled by the scalar path
-/// (sub-threshold batches, tails shorter than a vector, scalar level).
-struct BatchStats {
-  std::uint64_t batches = 0;
-  std::uint64_t fallbacks = 0;
-
-  BatchStats& operator+=(const BatchStats& o) {
-    batches += o.batches;
-    fallbacks += o.fallbacks;
-    return *this;
-  }
-};
-
-/// Reusable sort/collapse scratch; keep one per thread and the kernels
-/// allocate only until the high-water batch size is reached.
-struct BatchScratch {
-  std::vector<std::uint32_t> sorted;
-  std::vector<std::uint32_t> unique;
-  std::vector<std::uint32_t> counts;
-};
-
-/// Batches below this many ids skip the sort and run per-occurrence
-/// scalar decrements — the sort would cost more than it saves.
-inline constexpr std::size_t kSortThreshold = 48;
-
-/// vals[id] -= multiplicity(id) for every id in [ids, ids + n); every id
-/// whose counter reaches exactly zero within this batch is appended to
-/// `out` (caller guarantees room for n entries). Returns the number of
-/// zeros appended, in unspecified order. Duplicates are allowed; the
-/// caller guarantees each counter is >= its multiplicity in the batch.
-std::size_t decrement_to_zero(std::uint32_t* vals, const std::uint32_t* ids,
-                              std::size_t n, std::uint32_t* out,
-                              BatchScratch& scratch,
-                              BatchStats* stats = nullptr);
-
-/// Variant for the serial slot engine's packed (slot << 8) | indegree
-/// words: decrements the low byte (borrow-free by the same multiplicity
-/// precondition) and appends the *slot* (word >> 8) of every entry whose
-/// low byte reaches zero. Returns the number of slots appended.
-std::size_t decrement_packed_to_zero(std::uint32_t* vals,
-                                     const std::uint32_t* ids, std::size_t n,
-                                     std::uint32_t* out, BatchScratch& scratch,
-                                     BatchStats* stats = nullptr);
-
-/// Best-effort read prefetch into a near cache level; no-op where
-/// unsupported. The engines issue this one iteration ahead in the CSR
-/// successor walks.
-inline void prefetch_read(const void* p) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(p, /*rw=*/0, /*locality=*/2);
-#else
-  (void)p;
-#endif
-}
 
 }  // namespace sweep::util::simd

@@ -62,10 +62,9 @@ TEST(FuzzRepro, CommittedReprosStayClean) {
   // the n=0 TaskGraph::n_directions collapse found by the fuzzer itself,
   // instance files whose claimed edge count pre-allocated unbounded memory,
   // artifact images with overflowing section offsets, and wire frames that
-  // decoded past their span. fanin_indegree_boundary pins the engines one
-  // past the packed 255-indegree cap: the serial slot engine must fall back
-  // to the heap while the sharded engine (full u32 indegree lane) keeps
-  // running, and both must still match the reference bit-for-bit.
+  // decoded past their span. fanin_indegree_boundary pins a hub indegree of
+  // 256, one past what a byte counts, and the engine must still match the
+  // reference bit-for-bit.
   const std::filesystem::path dir(SWEEP_FUZZ_DATA_DIR);
   const char* files[] = {
       "oob_assignment.sweepfuzz",
@@ -125,10 +124,10 @@ TEST(FuzzShrink, PassingScenarioIsReturnedUnchanged) {
   EXPECT_EQ(result.accepted, 0u);
 }
 
-TEST(FuzzScenario, FanInFamilyStraddlesThePackedIndegreeCap) {
+TEST(FuzzScenario, FanInFamilyStraddlesOneByteOfIndegree) {
   // hubs = 1 + layers % 4; each hub's indegree is n - hubs, so n = 257 /
-  // layers = 0 sits exactly one past the slot engines' 255 cap and n = 256
-  // exactly at it — the two sides of the slot -> heap fallback.
+  // layers = 0 sits exactly one past 255, the largest count a byte holds,
+  // and n = 256 exactly at it.
   Scenario s;
   s.family = Family::kFanIn;
   s.k = 1;

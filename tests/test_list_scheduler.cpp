@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
+#include <utility>
 
 #include "core/assignment.hpp"
 #include "core/priorities.hpp"
@@ -138,38 +141,22 @@ INSTANTIATE_TEST_SUITE_P(
                       EngineCase{64, 6, 7, 20}));
 
 // ---------------------------------------------------------------------------
-// Engine-identity tests: the slot-map fast path (kAuto), the heap fallback
-// (kHeap), the sharded work-stealing engine (jobs != 1), and the
-// per-direction-walk reference implementation must produce the exact same
-// schedule — same start time for every task, not merely the same makespan —
-// under every priority scheme and gating variant.
+// Engine-identity tests: the slot-map engine and the per-direction-walk
+// reference implementation must produce the exact same schedule — same start
+// time for every task, not merely the same makespan — under every priority
+// scheme and gating variant.
 
 void expect_identical_engines(const dag::SweepInstance& inst,
                               const Assignment& assignment, std::size_t m,
-                              ListScheduleOptions options, const char* what) {
+                              const ListScheduleOptions& options,
+                              const char* what) {
   const Schedule slot = list_schedule(inst, assignment, m, options);
-  options.ready_queue = ReadyQueueKind::kHeap;
-  const Schedule heap = list_schedule(inst, assignment, m, options);
   const Schedule reference = list_schedule_reference(inst, assignment, m,
                                                      options);
   ASSERT_EQ(slot.n_tasks(), reference.n_tasks());
   for (TaskId t = 0; t < reference.n_tasks(); ++t) {
     ASSERT_EQ(slot.start(t), reference.start(t))
         << what << ": slot engine diverges at task " << t;
-    ASSERT_EQ(heap.start(t), reference.start(t))
-        << what << ": heap engine diverges at task " << t;
-  }
-  // jobs axis: 0 = all cores, 1 = serial, N = sharded with N workers.
-  // Gated or heap-only calls silently use the serial engines; either way
-  // the schedule may not depend on the jobs value.
-  options.ready_queue = ReadyQueueKind::kAuto;
-  for (std::size_t jobs : {0u, 1u, 2u, 8u}) {
-    options.jobs = jobs;
-    const Schedule s = list_schedule(inst, assignment, m, options);
-    for (TaskId t = 0; t < reference.n_tasks(); ++t) {
-      ASSERT_EQ(s.start(t), reference.start(t))
-          << what << ": jobs=" << jobs << " diverges at task " << t;
-    }
   }
 }
 
@@ -244,9 +231,8 @@ TEST(EngineIdentity, GeometricInstanceMatches) {
   expect_identical_engines(inst, assignment, 8, options, "geometric");
 }
 
-TEST(EngineIdentity, HugePriorityRangeFallsBackToHeap) {
-  // Range > 2^16 makes the slot engine ineligible; kAuto must silently take
-  // the heap path and still match the reference exactly.
+TEST(EngineIdentity, WidePriorityRangeMatches) {
+  // A range of millions takes three radix passes over the priority bytes.
   const auto inst = dag::random_instance(60, 3, 5, 1.5, 17);
   util::Rng rng(21);
   const Assignment assignment = random_assignment(inst.n_cells(), 6, rng);
@@ -273,7 +259,7 @@ TEST(EngineIdentity, NegativePrioritiesMatch) {
   expect_identical_engines(inst, assignment, 4, options, "negative");
 }
 
-TEST(EngineIdentity, CornerShapesMatchAcrossJobs) {
+TEST(EngineIdentity, CornerShapesMatch) {
   util::Rng rng(77);
 
   // Single direction (k = 1).
@@ -282,12 +268,12 @@ TEST(EngineIdentity, CornerShapesMatchAcrossJobs) {
     const Assignment assignment = random_assignment(40, 4, rng);
     expect_identical_engines(inst, assignment, 4, {}, "k=1");
   }
-  // Single processor: the engine degenerates to one serial shard.
+  // Single processor: one region holds every slot.
   {
     const auto inst = dag::random_instance(30, 3, 5, 1.5, 13);
     expect_identical_engines(inst, Assignment(30, 0), 1, {}, "m=1");
   }
-  // Far more processors than tasks: most shards are permanently idle.
+  // Far more processors than tasks: most processors own no region.
   {
     const auto inst = dag::random_instance(6, 2, 3, 1.0, 17);
     const Assignment assignment = random_assignment(6, 90, rng);
@@ -302,8 +288,89 @@ TEST(EngineIdentity, CornerShapesMatchAcrossJobs) {
   }
 }
 
-// The fallback-counter tests assert nonzero metric values, which only exist
-// when observability is compiled in (SWEEP_OBS=ON, the default).
+TEST(EngineIdentity, ExtremeAndTiedPrioritiesMatch) {
+  // Any int64 vector is legal input. Priorities spanning more than 2^63
+  // (INT64_MIN next to INT64_MAX) must rebase without signed overflow, and
+  // heavy ties must fall back to task id exactly as the reference does.
+  const auto inst = dag::random_instance(80, 4, 7, 2.0, 41);
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::int64_t pool[] = {kMin, kMin + 1, -1, 0, 1, kMax - 1, kMax};
+  util::Rng rng(43);
+  std::vector<std::int64_t> extreme(inst.n_tasks());
+  for (auto& p : extreme) p = pool[rng.next_below(std::size(pool))];
+  std::vector<std::int64_t> wide(inst.n_tasks());
+  for (auto& p : wide) p = static_cast<std::int64_t>(rng());
+  const std::vector<std::int64_t> all_min(inst.n_tasks(), kMin);
+  const std::vector<std::int64_t> all_max(inst.n_tasks(), kMax);
+  std::vector<std::int64_t> two_ends(inst.n_tasks());
+  for (std::size_t t = 0; t < two_ends.size(); ++t) {
+    two_ends[t] = t % 2 == 0 ? kMin : kMax;
+  }
+  const auto delays = random_delays(inst.n_directions(), rng);
+  const auto releases = delay_release_times(inst, delays);
+
+  const std::vector<std::int64_t>* const cases[] = {&extreme, &wide, &all_min,
+                                                    &all_max, &two_ends};
+  for (const std::size_t m : {1u, 3u, 16u}) {
+    const Assignment assignment = random_assignment(inst.n_cells(), m, rng);
+    for (const std::vector<std::int64_t>* priorities : cases) {
+      ListScheduleOptions options;
+      options.priorities = *priorities;
+      expect_identical_engines(inst, assignment, m, options, "ungated");
+      options.release_times = releases;
+      options.cross_message_delay = 2;
+      expect_identical_engines(inst, assignment, m, options, "gated");
+    }
+  }
+}
+
+TEST(EngineIdentity, FanInBeyondAnyByteMatches) {
+  // One cell with 300 predecessors: the indegree lane is a plain u32.
+  constexpr std::size_t kPreds = 300;
+  std::vector<std::pair<dag::NodeId, dag::NodeId>> edges;
+  for (dag::NodeId u = 0; u < kPreds; ++u) edges.emplace_back(u, kPreds);
+  std::vector<dag::SweepDag> dags;
+  dags.push_back(test::make_dag(kPreds + 1, edges));
+  const dag::SweepInstance inst(kPreds + 1, std::move(dags), "fan-in");
+  util::Rng rng(8);
+  for (const std::size_t m : {1u, 5u}) {
+    const Assignment assignment = random_assignment(inst.n_cells(), m, rng);
+    expect_identical_engines(inst, assignment, m, {}, "fan-in");
+  }
+}
+
+TEST(ListScheduler, HugeProcessorCountMatchesRelabelledSchedule) {
+  // A schedule does not depend on processor labels, only on which cells
+  // share one. Cells on processors {0, 2^32 - 2} of m = 2^32 - 1 must get
+  // the starts of the same cells on {0, 1} of m = 2 — and the engine's
+  // memory is O(tasks), so the huge m costs nothing.
+  const auto inst = dag::random_instance(60, 3, 6, 1.8, 47);
+  constexpr std::size_t kHugeM = std::numeric_limits<std::uint32_t>::max();
+  constexpr auto kLast = static_cast<ProcessorId>(kHugeM - 1);
+  util::Rng rng(4);
+  const Assignment small = random_assignment(inst.n_cells(), 2, rng);
+  Assignment huge = small;
+  for (ProcessorId& p : huge) p = p == 0 ? 0 : kLast;
+  const auto level = level_priorities(inst);
+  const auto delays = random_delays(inst.n_directions(), rng);
+  const auto releases = delay_release_times(inst, delays);
+
+  ListScheduleOptions options;
+  options.priorities = level;
+  const Schedule want = list_schedule_reference(inst, small, 2, options);
+  const Schedule got = list_schedule(inst, huge, kHugeM, options);
+  EXPECT_EQ(got.starts(), want.starts());
+  EXPECT_EQ(got.n_processors(), kHugeM);
+
+  options.release_times = releases;
+  options.cross_message_delay = 2;
+  EXPECT_EQ(list_schedule(inst, huge, kHugeM, options).starts(),
+            list_schedule_reference(inst, small, 2, options).starts());
+}
+
+// The counter test asserts nonzero metric values, which only exist when
+// observability is compiled in (SWEEP_OBS=ON, the default).
 #if !defined(SWEEP_OBS_DISABLE)
 std::uint64_t counter_value_of(const char* name) {
   const auto snap = obs::MetricsRegistry::instance().snapshot();
@@ -313,43 +380,26 @@ std::uint64_t counter_value_of(const char* name) {
   return 0;
 }
 
-TEST(ListScheduler, ExplicitBucketFallbackIsCounted) {
-  // An explicit kBucket request that the engine cannot honor (priority range
-  // too wide) must bump engine.bucket_fallback — it used to be silent.
-  obs::MetricsRegistry::instance().reset();
-  obs::set_metrics_enabled(true);
-  const auto inst = dag::random_instance(40, 2, 5, 1.5, 7);
-  util::Rng rng(3);
-  const Assignment assignment = random_assignment(inst.n_cells(), 4, rng);
-  std::vector<std::int64_t> wide(inst.n_tasks());
-  for (std::size_t t = 0; t < wide.size(); ++t) {
-    wide[t] = static_cast<std::int64_t>(t % 5) * 10000000;
-  }
-  ListScheduleOptions options;
-  options.priorities = wide;
-  options.ready_queue = ReadyQueueKind::kBucket;
-  const Schedule s = list_schedule(inst, assignment, 4, options);
-  EXPECT_TRUE(s.complete());
-  EXPECT_EQ(counter_value_of("engine.bucket_fallback"), 1u);
-  obs::set_metrics_enabled(false);
-}
-
-TEST(ListScheduler, HonoredBucketRequestIsNotCounted) {
-  // The other branch: a narrow priority range is served by the slot engine
-  // and the fallback counter must stay at zero.
+TEST(ListScheduler, OneEngineServesEveryPriorityWidth) {
+  // Narrow (level), wide (descendant-like, range ~10^7) and absent
+  // priorities all run the slot engine; there is nothing to fall back to.
   obs::MetricsRegistry::instance().reset();
   obs::set_metrics_enabled(true);
   const auto inst = dag::random_instance(40, 2, 5, 1.5, 7);
   util::Rng rng(3);
   const Assignment assignment = random_assignment(inst.n_cells(), 4, rng);
   const auto level = level_priorities(inst);
+  std::vector<std::int64_t> wide(inst.n_tasks());
+  for (std::size_t t = 0; t < wide.size(); ++t) {
+    wide[t] = static_cast<std::int64_t>(t % 5) * 10000000;
+  }
   ListScheduleOptions options;
+  EXPECT_TRUE(list_schedule(inst, assignment, 4, options).complete());
   options.priorities = level;
-  options.ready_queue = ReadyQueueKind::kBucket;
-  const Schedule s = list_schedule(inst, assignment, 4, options);
-  EXPECT_TRUE(s.complete());
-  EXPECT_EQ(counter_value_of("engine.bucket_fallback"), 0u);
-  EXPECT_EQ(counter_value_of("engine.slot.runs"), 1u);
+  EXPECT_TRUE(list_schedule(inst, assignment, 4, options).complete());
+  options.priorities = wide;
+  EXPECT_TRUE(list_schedule(inst, assignment, 4, options).complete());
+  EXPECT_EQ(counter_value_of("engine.slot.runs"), 3u);
   obs::set_metrics_enabled(false);
 }
 #endif  // SWEEP_OBS_DISABLE

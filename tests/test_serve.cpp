@@ -15,6 +15,7 @@
 #include <cstring>
 #include <filesystem>
 #include <future>
+#include <limits>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -486,6 +487,36 @@ TEST(ServeService, QueriesAreBitIdenticalToTheInProcessPath) {
               core::comm_cost_c2(instance, schedule).total_delay);
   }
   EXPECT_EQ(service.queries_served(), 3u);
+  EXPECT_EQ(service.errors_returned(), 0u);
+}
+
+TEST(ServeService, LargestProcessorCountIsAnOrdinaryQuery) {
+  // The wire accepts any u32 m. Scheduling memory is O(tasks) whatever m
+  // is, so m = UINT32_MAX must answer OK, and with the same schedule as the
+  // in-process path.
+  const dag::SweepInstance instance = make_instance();
+  ServeService service = make_service(instance, /*descendants=*/true,
+                                      no_cache());
+  const std::uint32_t m = std::numeric_limits<std::uint32_t>::max();
+  for (const Scheme scheme : {Scheme::kLevel, Scheme::kDescendant}) {
+    Request request = query_request(scheme, m, 5);
+    request.query.want_starts = true;
+    const Response r = service.handle(request);
+    ASSERT_EQ(r.status, 0u) << r.error;
+
+    util::Rng rng(5);
+    const core::Assignment assignment =
+        core::random_assignment(instance.n_cells(), m, rng);
+    const std::vector<std::int64_t> priorities =
+        scheme == Scheme::kLevel ? core::level_priorities(instance)
+                                 : core::descendant_priorities(instance, rng);
+    core::ListScheduleOptions options;
+    options.priorities = priorities;
+    const core::Schedule schedule =
+        core::list_schedule(instance, assignment, m, options);
+    EXPECT_EQ(r.query.starts, schedule.starts());
+    EXPECT_EQ(r.query.makespan, schedule.makespan());
+  }
   EXPECT_EQ(service.errors_returned(), 0u);
 }
 

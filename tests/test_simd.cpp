@@ -1,276 +1,28 @@
-// util/simd.hpp: the batched decrement kernels vs a per-occurrence scalar
-// oracle, across batch lengths (including 0, 1, sub-threshold, and vector
-// tails), duplicate multiplicities, unaligned batch heads, and every
-// instruction-set level this machine can force. Also covers the
-// util/numa.hpp nodelist parser the sharded engine uses for its
-// first-touch placement telemetry.
-
-#include <algorithm>
-#include <cstdint>
-#include <vector>
+// util/simd.hpp: the CPU vector-level probe that benchmark host
+// fingerprints report.
 
 #include <gtest/gtest.h>
 
-#include "util/numa.hpp"
-#include "util/rng.hpp"
 #include "util/simd.hpp"
 
 namespace sweep {
 namespace {
 
-using util::simd::BatchScratch;
-using util::simd::BatchStats;
 using util::simd::Level;
 
-/// Per-occurrence scalar oracle for decrement_to_zero: the semantics the
-/// kernels must reproduce regardless of batching or vector width.
-std::vector<std::uint32_t> oracle_plain(std::vector<std::uint32_t>& vals,
-                                        const std::vector<std::uint32_t>& ids) {
-  std::vector<std::uint32_t> zeros;
-  for (const std::uint32_t id : ids) {
-    if (--vals[id] == 0) zeros.push_back(id);
-  }
-  return zeros;
-}
-
-/// Oracle for decrement_packed_to_zero: low-byte decrement, slot payload out.
-std::vector<std::uint32_t> oracle_packed(
-    std::vector<std::uint32_t>& vals, const std::vector<std::uint32_t>& ids) {
-  std::vector<std::uint32_t> slots;
-  for (const std::uint32_t id : ids) {
-    const std::uint32_t x = --vals[id];
-    if ((x & 0xFF) == 0) slots.push_back(x >> 8);
-  }
-  return slots;
-}
-
-std::vector<std::uint32_t> sorted(std::vector<std::uint32_t> v) {
-  std::sort(v.begin(), v.end());
-  return v;
-}
-
-/// Builds a counter lane + id batch where every counter is >= its
-/// multiplicity (the engines' precondition): n_ids draws over n_counters
-/// ids, counters = multiplicity + a random surplus in [0, 2], so a healthy
-/// fraction of counters cross zero within the batch.
-struct Case {
-  std::vector<std::uint32_t> vals;
-  std::vector<std::uint32_t> ids;
-};
-
-Case make_case(std::size_t n_counters, std::size_t n_ids,
-               std::uint64_t seed) {
-  util::Rng rng(seed);
-  Case c;
-  c.vals.assign(n_counters, 0);
-  c.ids.reserve(n_ids);
-  for (std::size_t i = 0; i < n_ids; ++i) {
-    const auto id =
-        static_cast<std::uint32_t>(rng.next_below(n_counters));
-    c.ids.push_back(id);
-    ++c.vals[id];  // multiplicity
-  }
-  for (auto& v : c.vals) {
-    v += static_cast<std::uint32_t>(rng.next_below(3));  // surplus
-  }
-  return c;
-}
-
-class SimdLevels : public ::testing::TestWithParam<Level> {
- protected:
-  void SetUp() override {
-    if (GetParam() > util::simd::detected_level()) {
-      GTEST_SKIP() << "machine lacks " << util::simd::level_name(GetParam());
-    }
-#if !defined(__ARM_NEON)
-    // Forcing kNEON on x86 is a legal downward clamp but there is no NEON
-    // kernel in the build — it retires everything through the scalar path,
-    // which the kScalar instantiation already covers.
-    if (GetParam() == Level::kNEON) {
-      GTEST_SKIP() << "no NEON kernel in this build";
-    }
-#endif
-    util::simd::force_level(GetParam());
-  }
-  void TearDown() override {
-    util::simd::force_level(util::simd::detected_level());
-  }
-};
-
-TEST_P(SimdLevels, MatchesScalarOracleAcrossLengths) {
-  BatchScratch scratch;
-  // Lengths straddle kSortThreshold and the 8/4-wide vector blocks, with
-  // off-by-one tails on both sides.
-  for (const std::size_t n :
-       {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{7},
-        std::size_t{8}, std::size_t{9}, std::size_t{47}, std::size_t{48},
-        std::size_t{49}, std::size_t{63}, std::size_t{64}, std::size_t{65},
-        std::size_t{300}, std::size_t{4096}, std::size_t{4097}}) {
-    Case c = make_case(std::max<std::size_t>(n / 2, 8), n, 0x5eed + n);
-    std::vector<std::uint32_t> expect_vals = c.vals;
-    const std::vector<std::uint32_t> expect_zeros =
-        sorted(oracle_plain(expect_vals, c.ids));
-
-    std::vector<std::uint32_t> out(std::max<std::size_t>(n, 1));
-    const std::size_t zeros = util::simd::decrement_to_zero(
-        c.vals.data(), c.ids.data(), n, out.data(), scratch);
-    out.resize(zeros);
-
-    EXPECT_EQ(c.vals, expect_vals) << "counter lane diverged at n=" << n;
-    EXPECT_EQ(sorted(std::move(out)), expect_zeros) << "zero set at n=" << n;
-  }
-}
-
-TEST_P(SimdLevels, UnalignedBatchHeads) {
-  // The ids pointer the engines pass is a vector tail at arbitrary offset;
-  // slide a window over one backing array so every 4-byte alignment
-  // (relative to the 32-byte vector blocks) is exercised.
-  BatchScratch scratch;
-  Case base = make_case(64, 512, 0xa11a);
-  for (std::size_t head = 0; head < 9; ++head) {
-    const std::size_t n = base.ids.size() - head;
-    std::vector<std::uint32_t> vals = base.vals;
-    std::vector<std::uint32_t> expect_vals = base.vals;
-    const std::vector<std::uint32_t> window(base.ids.begin() + head,
-                                            base.ids.end());
-    const std::vector<std::uint32_t> expect_zeros =
-        sorted(oracle_plain(expect_vals, window));
-
-    std::vector<std::uint32_t> out(n);
-    const std::size_t zeros = util::simd::decrement_to_zero(
-        vals.data(), base.ids.data() + head, n, out.data(), scratch);
-    out.resize(zeros);
-
-    EXPECT_EQ(vals, expect_vals) << "head offset " << head;
-    EXPECT_EQ(sorted(std::move(out)), expect_zeros) << "head offset " << head;
-  }
-}
-
-TEST_P(SimdLevels, PackedVariantDeliversSlots) {
-  BatchScratch scratch;
-  for (const std::size_t n :
-       {std::size_t{0}, std::size_t{1}, std::size_t{9}, std::size_t{48},
-        std::size_t{65}, std::size_t{1000}}) {
-    Case c = make_case(std::max<std::size_t>(n / 3, 4), n, 0xbeef + n);
-    // Repack: (slot << 8) | indegree, slot = a distinct tag per id. The
-    // surplus in make_case keeps every low byte's headroom intact, and
-    // multiplicity <= 255 is guaranteed by the batch sizes used here.
-    std::vector<std::uint32_t> packed(c.vals.size());
-    for (std::size_t i = 0; i < c.vals.size(); ++i) {
-      ASSERT_LE(c.vals[i], 0xFFu);
-      packed[i] = (static_cast<std::uint32_t>(i * 3 + 1) << 8) | c.vals[i];
-    }
-    std::vector<std::uint32_t> expect_packed = packed;
-    const std::vector<std::uint32_t> expect_slots =
-        sorted(oracle_packed(expect_packed, c.ids));
-
-    std::vector<std::uint32_t> out(std::max<std::size_t>(n, 1));
-    const std::size_t zeros = util::simd::decrement_packed_to_zero(
-        packed.data(), c.ids.data(), n, out.data(), scratch);
-    out.resize(zeros);
-
-    EXPECT_EQ(packed, expect_packed) << "packed lane diverged at n=" << n;
-    EXPECT_EQ(sorted(std::move(out)), expect_slots) << "slot set at n=" << n;
-  }
-}
-
-TEST_P(SimdLevels, HeavyDuplicateRuns) {
-  // One id dominating the batch (a hub task with hundreds of finished
-  // predecessors in a single step) is the case the sort/collapse exists
-  // for: the collapsed multiplicity must land in one subtraction.
-  BatchScratch scratch;
-  std::vector<std::uint32_t> vals{300, 5, 300};
-  std::vector<std::uint32_t> ids;
-  for (int i = 0; i < 300; ++i) ids.push_back(0);
-  for (int i = 0; i < 5; ++i) ids.push_back(1);
-  for (int i = 0; i < 299; ++i) ids.push_back(2);
-
-  std::vector<std::uint32_t> out(ids.size());
-  const std::size_t zeros = util::simd::decrement_to_zero(
-      vals.data(), ids.data(), ids.size(), out.data(), scratch);
-  out.resize(zeros);
-
-  EXPECT_EQ(vals, (std::vector<std::uint32_t>{0, 0, 1}));
-  EXPECT_EQ(sorted(std::move(out)), (std::vector<std::uint32_t>{0, 1}));
-}
-
-TEST_P(SimdLevels, StatsAccountForEveryId) {
-  // Sub-threshold batches are pure fallback; large batches retire vector
-  // blocks (at vector levels) or count everything as fallback (scalar).
-  BatchScratch scratch;
-  BatchStats stats;
-  Case small = make_case(8, util::simd::kSortThreshold - 1, 0x51);
-  std::vector<std::uint32_t> out(small.ids.size());
-  util::simd::decrement_to_zero(small.vals.data(), small.ids.data(),
-                                small.ids.size(), out.data(), scratch,
-                                &stats);
-  EXPECT_EQ(stats.batches, 0u);
-  EXPECT_EQ(stats.fallbacks, util::simd::kSortThreshold - 1);
-
-  stats = {};
-  Case big = make_case(4096, 8192, 0x52);
-  out.resize(big.ids.size());
-  util::simd::decrement_to_zero(big.vals.data(), big.ids.data(),
-                                big.ids.size(), out.data(), scratch, &stats);
-  if (GetParam() == Level::kScalar) {
-    EXPECT_EQ(stats.batches, 0u);
-    EXPECT_GT(stats.fallbacks, 0u);
-  } else {
-    EXPECT_GT(stats.batches, 0u);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllLevels, SimdLevels,
-                         ::testing::Values(Level::kScalar, Level::kNEON,
-                                           Level::kAVX2),
-                         [](const auto& param_info) {
-                           return util::simd::level_name(param_info.param);
-                         });
-
-TEST(SimdDispatch, ForceOnlyClampsDownward) {
-  const Level detected = util::simd::detected_level();
-  util::simd::force_level(Level::kAVX2);  // cannot exceed detected
-  EXPECT_EQ(util::simd::active_level(), detected);
-  util::simd::force_level(Level::kScalar);
-  EXPECT_EQ(util::simd::active_level(), Level::kScalar);
-  util::simd::force_level(detected);
-  EXPECT_EQ(util::simd::active_level(), detected);
-}
-
-TEST(SimdDispatch, LevelNamesAreStable) {
+TEST(SimdProbe, LevelNamesAreStable) {
   EXPECT_STREQ(util::simd::level_name(Level::kScalar), "scalar");
   EXPECT_STREQ(util::simd::level_name(Level::kNEON), "neon");
   EXPECT_STREQ(util::simd::level_name(Level::kAVX2), "avx2");
 }
 
-TEST(Numa, ParsesKernelNodelists) {
-  EXPECT_EQ(util::numa::parse_node_list("0"), 1u);
-  EXPECT_EQ(util::numa::parse_node_list("0\n"), 1u);
-  EXPECT_EQ(util::numa::parse_node_list("0-3"), 4u);
-  EXPECT_EQ(util::numa::parse_node_list("0-1,4"), 3u);
-  EXPECT_EQ(util::numa::parse_node_list("0,2,4-7"), 6u);
-}
-
-TEST(Numa, RejectsMalformedNodelists) {
-  EXPECT_EQ(util::numa::parse_node_list(""), 0u);
-  EXPECT_EQ(util::numa::parse_node_list("-1"), 0u);
-  EXPECT_EQ(util::numa::parse_node_list("3-1"), 0u);
-  EXPECT_EQ(util::numa::parse_node_list("0,"), 0u);
-  EXPECT_EQ(util::numa::parse_node_list("0-"), 0u);
-  EXPECT_EQ(util::numa::parse_node_list("a"), 0u);
-  EXPECT_EQ(util::numa::parse_node_list("0-99999999"), 0u);
-}
-
-TEST(Numa, NodeCountIsPositive) {
-  EXPECT_GE(util::numa::node_count(), 1u);
-}
-
-TEST(Numa, PreferredNodeRoundRobins) {
-  EXPECT_EQ(util::numa::preferred_node(0, 2), 0u);
-  EXPECT_EQ(util::numa::preferred_node(1, 2), 1u);
-  EXPECT_EQ(util::numa::preferred_node(2, 2), 0u);
-  EXPECT_EQ(util::numa::preferred_node(5, 1), 0u);
-  EXPECT_EQ(util::numa::preferred_node(3, 0), 0u);  // degenerate guard
+TEST(SimdProbe, DetectedLevelIsKnownAndStable) {
+  const Level level = util::simd::detected_level();
+  EXPECT_STRNE(util::simd::level_name(level), "unknown");
+  EXPECT_EQ(util::simd::detected_level(), level);
+#if !defined(__x86_64__) && !defined(__i386__) && !defined(__ARM_NEON)
+  EXPECT_EQ(level, Level::kScalar);
+#endif
 }
 
 }  // namespace
