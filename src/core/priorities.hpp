@@ -11,8 +11,8 @@
 // draw from the caller's Rng. Output is therefore byte-identical for any
 // `jobs` (0 = all cores, 1 = serial) and independent of direction iteration
 // order. The `*_reference` twins are preserved plain serial loops used by
-// the tests, the fuzz oracle bank, and bench/pipeline_throughput as
-// differential baselines.
+// the tests (PrioritiesParallel.*) and the fuzz oracle bank as differential
+// baselines.
 
 #include <cstdint>
 #include <vector>

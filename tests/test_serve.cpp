@@ -1,8 +1,9 @@
-// Tests for the sweep_serve stack below the socket layer: wire-protocol
-// round trips and malformed-frame rejection, and ServeService request
-// handling — bit-identity of query responses against the in-process
-// scheduling path, error statuses that keep the daemon alive, and hot swap
-// through a kSwap request.
+// Tests for the sweep_serve stack: wire-protocol round trips and
+// malformed-frame rejection; ServeService request handling — bit-identity
+// of query responses against the in-process scheduling path, error statuses
+// that keep the daemon alive, hot swap through a kSwap request, and the
+// schedule cache; and (ServeSocket) the same contracts end to end, through
+// serve::Client against a real Server on a Unix socket.
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -14,9 +15,12 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <future>
 #include <limits>
+#include <memory>
 #include <optional>
+#include <sstream>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -408,11 +412,13 @@ dag::SweepInstance make_instance() {
   return dag::random_instance(80, 3, 5, 1.8, 23);
 }
 
-ServeService make_service(const dag::SweepInstance& instance,
-                          bool descendants = true,
-                          ScheduleCacheOptions cache_options = {}) {
+ServeService make_service(
+    const dag::SweepInstance& instance, bool descendants = true,
+    ScheduleCacheOptions cache_options = {},
+    const std::vector<dag::ArtifactPartition>* partitions = nullptr) {
   dag::ArtifactWriteOptions options;
   options.include_descendants = descendants;
+  options.partitions = partitions;
   return ServeService(
       dag::Artifact::from_memory(dag::pack_artifact(instance, options)),
       cache_options);
@@ -432,59 +438,82 @@ std::uint64_t entry_value(const StatsResponse& stats, const std::string& key) {
   return 0;
 }
 
-Request query_request(Scheme scheme, std::uint32_t m, std::uint64_t seed) {
+Request query_request(Scheme scheme, std::uint32_t m, std::uint64_t seed,
+                      bool want_starts = false) {
   Request request;
   request.type = MsgType::kQuery;
   request.query.scheme = scheme;
   request.query.m = m;
   request.query.seed = seed;
+  request.query.want_starts = want_starts;
   return request;
 }
+
+/// What a query must answer, computed in-process by the recipe the daemon
+/// promises to reproduce (serve/service.hpp).
+struct Expected {
+  std::uint64_t makespan = 0;
+  std::uint64_t c1_cross = 0;
+  std::uint64_t c2_delay = 0;
+  std::uint64_t hash = 0;
+  std::vector<core::TimeStep> starts;
+};
+
+Expected expected_query(const dag::SweepInstance& instance, Scheme scheme,
+                        std::uint32_t m, std::uint64_t seed) {
+  util::Rng rng(seed);
+  const core::Assignment assignment =
+      core::random_assignment(instance.n_cells(), m, rng);
+  std::vector<std::int64_t> priorities;
+  switch (scheme) {
+    case Scheme::kLevel:
+      priorities = core::level_priorities(instance);
+      break;
+    case Scheme::kRandomDelay: {
+      const auto delays = core::random_delays(instance.n_directions(), rng);
+      priorities = core::random_delay_priorities(instance, delays);
+      break;
+    }
+    case Scheme::kDescendant:
+      priorities = core::descendant_priorities(instance, rng);
+      break;
+  }
+  core::ListScheduleOptions options;
+  options.priorities = priorities;
+  const core::Schedule schedule =
+      core::list_schedule(instance, assignment, m, options);
+  Expected e;
+  e.makespan = schedule.makespan();
+  e.c1_cross = core::comm_cost_c1(instance, assignment).cross_edges;
+  e.c2_delay = core::comm_cost_c2(instance, schedule).total_delay;
+  e.hash = util::fnv1a_span<core::TimeStep>(
+      schedule.starts(),
+      util::fnv1a_span<core::ProcessorId>(schedule.assignment()));
+  e.starts = schedule.starts();
+  return e;
+}
+
+/// Every scalar of `r` agrees with the in-process answer.
+void expect_answers(const QueryResponse& r, const Expected& e) {
+  EXPECT_EQ(r.makespan, e.makespan);
+  EXPECT_EQ(r.c1_cross_edges, e.c1_cross);
+  EXPECT_EQ(r.c2_total_delay, e.c2_delay);
+  EXPECT_EQ(r.schedule_hash, e.hash);
+}
+
+const Scheme kSchemes[] = {Scheme::kLevel, Scheme::kRandomDelay,
+                           Scheme::kDescendant};
 
 TEST(ServeService, QueriesAreBitIdenticalToTheInProcessPath) {
   const dag::SweepInstance instance = make_instance();
   ServeService service = make_service(instance);
-  for (const Scheme scheme :
-       {Scheme::kLevel, Scheme::kRandomDelay, Scheme::kDescendant}) {
-    const std::uint32_t m = 4;
-    const std::uint64_t seed = 99;
-    // The documented recipe (serve/service.hpp).
-    util::Rng rng(seed);
-    const core::Assignment assignment =
-        core::random_assignment(instance.n_cells(), m, rng);
-    std::vector<std::int64_t> priorities;
-    switch (scheme) {
-      case Scheme::kLevel:
-        priorities = core::level_priorities(instance);
-        break;
-      case Scheme::kRandomDelay: {
-        const auto delays = core::random_delays(instance.n_directions(), rng);
-        priorities = core::random_delay_priorities(instance, delays);
-        break;
-      }
-      case Scheme::kDescendant:
-        priorities = core::descendant_priorities(instance, rng);
-        break;
-    }
-    core::ListScheduleOptions options;
-    options.priorities = priorities;
-    const core::Schedule schedule =
-        core::list_schedule(instance, assignment, m, options);
-    const std::uint64_t want_hash = util::fnv1a_span<core::TimeStep>(
-        schedule.starts(),
-        util::fnv1a_span<core::ProcessorId>(schedule.assignment()));
-
-    Request request = query_request(scheme, m, seed);
-    request.query.want_starts = true;
-    const Response r = service.handle(request);
+  for (const Scheme scheme : kSchemes) {
+    const Response r =
+        service.handle(query_request(scheme, 4, 99, /*want_starts=*/true));
     ASSERT_EQ(r.status, 0u) << r.error;
-    EXPECT_EQ(r.query.makespan, schedule.makespan());
-    EXPECT_EQ(r.query.schedule_hash, want_hash);
-    EXPECT_EQ(r.query.starts, schedule.starts());
-    EXPECT_EQ(r.query.c1_cross_edges,
-              core::comm_cost_c1(instance, assignment).cross_edges);
-    EXPECT_EQ(r.query.c2_total_delay,
-              core::comm_cost_c2(instance, schedule).total_delay);
+    const Expected e = expected_query(instance, scheme, 4, 99);
+    expect_answers(r.query, e);
+    EXPECT_EQ(r.query.starts, e.starts);
   }
   EXPECT_EQ(service.queries_served(), 3u);
   EXPECT_EQ(service.errors_returned(), 0u);
@@ -499,23 +528,12 @@ TEST(ServeService, LargestProcessorCountIsAnOrdinaryQuery) {
                                       no_cache());
   const std::uint32_t m = std::numeric_limits<std::uint32_t>::max();
   for (const Scheme scheme : {Scheme::kLevel, Scheme::kDescendant}) {
-    Request request = query_request(scheme, m, 5);
-    request.query.want_starts = true;
-    const Response r = service.handle(request);
+    const Response r =
+        service.handle(query_request(scheme, m, 5, /*want_starts=*/true));
     ASSERT_EQ(r.status, 0u) << r.error;
-
-    util::Rng rng(5);
-    const core::Assignment assignment =
-        core::random_assignment(instance.n_cells(), m, rng);
-    const std::vector<std::int64_t> priorities =
-        scheme == Scheme::kLevel ? core::level_priorities(instance)
-                                 : core::descendant_priorities(instance, rng);
-    core::ListScheduleOptions options;
-    options.priorities = priorities;
-    const core::Schedule schedule =
-        core::list_schedule(instance, assignment, m, options);
-    EXPECT_EQ(r.query.starts, schedule.starts());
-    EXPECT_EQ(r.query.makespan, schedule.makespan());
+    const Expected e = expected_query(instance, scheme, m, 5);
+    EXPECT_EQ(r.query.starts, e.starts);
+    EXPECT_EQ(r.query.makespan, e.makespan);
   }
   EXPECT_EQ(service.errors_returned(), 0u);
 }
@@ -561,10 +579,8 @@ TEST(ServeService, InfoAndEmbeddedPartition) {
     part.assignment.push_back(static_cast<std::uint32_t>(v % 3));
   }
   const std::vector<dag::ArtifactPartition> partitions = {part};
-  dag::ArtifactWriteOptions options;
-  options.partitions = &partitions;
-  ServeService service(
-      dag::Artifact::from_memory(dag::pack_artifact(instance, options)));
+  ServeService service =
+      make_service(instance, /*descendants=*/false, {}, &partitions);
 
   Request info;
   info.type = MsgType::kInfo;
@@ -691,6 +707,47 @@ TEST(ServeService, ArmedStatsCarryHistogramsAndQuality) {
   obs::MetricsRegistry::instance().reset();
 }
 
+TEST(ServeService, ResponsesUnchangedByInstrumentation) {
+  // The bytes a query puts on the wire must not depend on whether metrics
+  // or tracing are armed: answer every scheme, plus one want_starts query,
+  // with collection off, metrics armed, and metrics + tracing armed.
+  ServeService service = make_service(make_instance(), true, no_cache());
+  std::vector<Request> requests;
+  for (const Scheme scheme : kSchemes) {
+    requests.push_back(query_request(scheme, 4, 11));
+  }
+  requests.push_back(
+      query_request(Scheme::kRandomDelay, 6, 12, /*want_starts=*/true));
+
+  const auto answer_all = [&](bool metrics, bool tracing) {
+    obs::MetricsRegistry::instance().reset();
+    obs::clear_trace();
+    obs::set_metrics_enabled(metrics);
+    if (tracing) obs::start_tracing();
+    std::vector<std::vector<std::byte>> bytes;
+    for (const Request& request : requests) {
+      const Response r = service.handle(request);
+      EXPECT_EQ(r.status, 0u) << r.error;
+      bytes.push_back(encode_response(r));
+    }
+    obs::stop_tracing();
+    obs::set_metrics_enabled(false);
+    return bytes;
+  };
+  const auto off = answer_all(false, false);
+  EXPECT_EQ(answer_all(true, false), off);
+  EXPECT_EQ(answer_all(true, true), off);
+#if !defined(SWEEP_OBS_DISABLE)
+  // The armed runs really recorded (so the identity above compared an
+  // instrumented run, not a silently disarmed one).
+  std::ostringstream trace;
+  obs::write_trace_json(trace);
+  EXPECT_NE(trace.str().find("serve.query"), std::string::npos);
+#endif
+  obs::MetricsRegistry::instance().reset();
+  obs::clear_trace();
+}
+
 // ---------------------------------------------------------------------------
 // ScheduleCache unit tests (DESIGN.md §15)
 
@@ -813,6 +870,27 @@ TEST(ScheduleCache, EvictionRespectsEntryBound) {
   // LRU: the most recent keys survived.
   EXPECT_EQ(cache.lookup_or_join(test_key(7, 31)).kind,
             ScheduleCache::ProbeKind::kHit);
+
+  // The same bounds behind ServeService, with real schedule payloads: an
+  // evicting cache still answers exactly what the cold path answers.
+  ScheduleCacheOptions tiny = options;
+  tiny.max_bytes = std::size_t{1} << 16;
+  const dag::SweepInstance instance = make_instance();
+  ServeService small = make_service(instance, true, tiny);
+  ServeService cold = make_service(instance, true, no_cache());
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    const Request request = query_request(Scheme::kLevel, 4, seed);
+    EXPECT_EQ(encode_response(small.handle(request)),
+              encode_response(cold.handle(request)))
+        << "seed " << seed;
+  }
+  const ScheduleCacheStats served = small.cache_stats();
+  EXPECT_LE(served.entries, 8u);
+  EXPECT_LE(served.bytes, std::size_t{1} << 16);
+  EXPECT_GT(served.evictions, 0u);
+  const Request resident = query_request(Scheme::kLevel, 4, 63);
+  EXPECT_EQ(encode_response(small.handle(resident)),
+            encode_response(cold.handle(resident)));
 }
 
 TEST(ScheduleCache, EvictionRespectsByteBoundAndOversizedEntriesAreSkipped) {
@@ -891,11 +969,9 @@ TEST(ServeService, CacheHitIsByteIdenticalToTheColdPath) {
   ServeService cached = make_service(instance);
   ServeService cold = make_service(instance, true, no_cache());
 
-  for (const Scheme scheme :
-       {Scheme::kLevel, Scheme::kRandomDelay, Scheme::kDescendant}) {
+  for (const Scheme scheme : kSchemes) {
     for (const bool want_starts : {false, true}) {
-      Request request = query_request(scheme, 4, 17);
-      request.query.want_starts = want_starts;
+      const Request request = query_request(scheme, 4, 17, want_starts);
       const std::vector<std::byte> cold_bytes =
           encode_response(cold.handle(request));
       // First probe misses and computes; every later one must hit and
@@ -1122,6 +1198,370 @@ TEST(ServeClient, ReceiveDeadlineThrowsInsteadOfHangingForever) {
             5000);
   ::close(lfd);
   ::unlink(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// ServeSocket: every request goes through serve::Client to a real Server,
+// in this process, so the tsan-concurrency preset instruments the whole
+// stack: accept loop, connection jobs, cache, swap.
+
+/// A thread whose body's exception (a refused connect, a torn frame) fails
+/// the test instead of ending the process.
+std::thread test_thread(std::function<void()> body) {
+  return std::thread([body = std::move(body)] {
+    try {
+      body();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << e.what();
+    }
+  });
+}
+
+class ServeSocket : public ::testing::Test {
+ protected:
+  /// Starts a Server for `service` on a socket in the test temp dir.
+  /// Declare the result after the service: destroying it stops the server.
+  std::unique_ptr<Server> serve(ServeService& service) {
+    ServerOptions options;
+    options.socket_path = socket_path_;
+    options.threads = 8;
+    options.slow_request_ns = 0;  // keep stderr quiet under TSan
+    auto server = std::make_unique<Server>(service, options);
+    server->start();
+    return server;
+  }
+
+  /// The kShutdown frame is acked and ends the server's accept loop.
+  void shutdown_over_wire(Server& server) {
+    Client client(socket_path_);
+    EXPECT_EQ(client.shutdown_server().status, 0u);
+    server.wait();
+  }
+
+  std::string temp_path(const std::string& stem) const {
+    return (std::filesystem::path(::testing::TempDir()) /
+            (stem + "." + std::to_string(::getpid())))
+        .string();
+  }
+
+  const std::string socket_path_ = temp_path("serve_socket.sock");
+};
+
+TEST_F(ServeSocket, QueriesMatchTheInProcessPath) {
+  const dag::SweepInstance instance = make_instance();
+  dag::ArtifactPartition part;
+  part.n_parts = 5;
+  for (std::size_t v = 0; v < instance.n_cells(); ++v) {
+    part.assignment.push_back(static_cast<std::uint32_t>(v % 5));
+  }
+  const std::vector<dag::ArtifactPartition> partitions = {part};
+  ServeService service = make_service(instance, true, {}, &partitions);
+  const auto server = serve(service);
+  Client client(socket_path_);
+
+  EXPECT_EQ(client.ping().status, 0u);
+  const Response info = client.info();
+  ASSERT_EQ(info.status, 0u);
+  EXPECT_EQ(info.info.n_cells, instance.n_cells());
+  EXPECT_EQ(info.info.content_hash, service.artifact()->content_hash());
+  EXPECT_EQ(info.info.n_partitions, 1u);
+  EXPECT_TRUE(info.info.has_descendants);
+
+  for (const Scheme scheme : kSchemes) {
+    for (const std::uint32_t m : {1u, 3u, 8u}) {
+      for (const std::uint64_t seed : {1ull, 42ull}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "scheme=" << static_cast<int>(scheme) << " m=" << m
+                     << " seed=" << seed);
+        const Response r = client.call(query_request(scheme, m, seed));
+        ASSERT_EQ(r.status, 0u) << r.error;
+        expect_answers(r.query, expected_query(instance, scheme, m, seed));
+      }
+    }
+  }
+  // The raw start array, so "bit-identical" is literal.
+  const Response full = client.call(
+      query_request(Scheme::kRandomDelay, 8, 42, /*want_starts=*/true));
+  ASSERT_EQ(full.status, 0u) << full.error;
+  EXPECT_EQ(full.query.starts,
+            expected_query(instance, Scheme::kRandomDelay, 8, 42).starts);
+
+  // The embedded partition: the assignment and m come from the artifact.
+  Request partitioned = query_request(Scheme::kLevel, 0, 1);
+  partitioned.query.partition = 0;
+  const Response r = client.call(partitioned);
+  ASSERT_EQ(r.status, 0u) << r.error;
+  core::ListScheduleOptions options;
+  const std::vector<std::int64_t> priorities =
+      core::level_priorities(instance);
+  options.priorities = priorities;
+  EXPECT_EQ(r.query.makespan,
+            core::list_schedule(instance, part.assignment, 5, options)
+                .makespan());
+  shutdown_over_wire(*server);
+}
+
+TEST_F(ServeSocket, RejectedRequestsLeaveTheDaemonServing) {
+  ServeService service = make_service(make_instance());
+  const std::uint64_t hash_a = service.artifact()->content_hash();
+  const auto server = serve(service);
+  Client client(socket_path_);
+
+  EXPECT_NE(client.call(query_request(Scheme::kLevel, 0, 1)).status, 0u);
+  Request swap;
+  swap.type = MsgType::kSwap;
+  swap.swap.path = temp_path("does_not_exist.sweepart");
+  EXPECT_NE(client.call(swap).status, 0u);
+
+  const Response info = client.info();
+  ASSERT_EQ(info.status, 0u);
+  EXPECT_EQ(info.info.content_hash, hash_a);
+  EXPECT_EQ(client.call(query_request(Scheme::kLevel, 4, 1)).status, 0u);
+  EXPECT_EQ(service.swaps_completed(), 0u);
+  shutdown_over_wire(*server);
+}
+
+TEST_F(ServeSocket, CacheHitIsBitIdenticalToTheColdComputeOverTheWire) {
+  const dag::SweepInstance instance = make_instance();
+  ServeService service = make_service(instance);
+  ServeService cold = make_service(instance, true, no_cache());
+  const auto server = serve(service);
+  Client client(socket_path_);
+
+  for (const Scheme scheme : kSchemes) {
+    const Request with_starts = query_request(scheme, 6, 3, true);
+    const std::vector<std::byte> want =
+        encode_response(cold.handle(with_starts));
+    // The first call computes; every repeat hits and must carry the same
+    // payload, start array included.
+    for (int round = 0; round < 4; ++round) {
+      EXPECT_EQ(encode_response(client.call(with_starts)), want)
+          << "scheme=" << static_cast<int>(scheme) << " round=" << round;
+    }
+    // The scalar twin hits the same entry and omits the array.
+    const Request scalar = query_request(scheme, 6, 3);
+    EXPECT_EQ(encode_response(client.call(scalar)),
+              encode_response(cold.handle(scalar)));
+  }
+  const Response stats = client.stats();
+  ASSERT_EQ(stats.status, 0u);
+  EXPECT_EQ(entry_value(stats.stats, "serve.cache.misses"), 3u);
+  EXPECT_EQ(entry_value(stats.stats, "serve.cache.hits"), 12u);
+  EXPECT_EQ(entry_value(stats.stats, "serve.cache.hit_rate_pct"), 80u);
+  shutdown_over_wire(*server);
+}
+
+TEST_F(ServeSocket, ConcurrentIdenticalQueriesComputeOnceOverTheWire) {
+  ServeService service = make_service(make_instance());
+  const auto server = serve(service);
+  constexpr int kClients = 4;
+  const Request request = query_request(Scheme::kLevel, 9, 777);
+  std::vector<std::vector<std::byte>> answers(kClients);
+  std::vector<Client> clients;  // connected up front, so no thread can fail
+  for (int w = 0; w < kClients; ++w) clients.emplace_back(socket_path_);
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> swarm;
+  for (int w = 0; w < kClients; ++w) {
+    swarm.push_back(test_thread([&, w] {
+      const auto i = static_cast<std::size_t>(w);
+      ready.fetch_add(1);
+      while (!go.load()) std::this_thread::yield();
+      answers[i] = encode_response(clients[i].call(request));
+    }));
+  }
+  while (ready.load() < kClients) std::this_thread::yield();
+  go.store(true);
+  for (std::thread& t : swarm) t.join();
+
+  ServeService cold = make_service(make_instance(), true, no_cache());
+  const std::vector<std::byte> want = encode_response(cold.handle(request));
+  for (const auto& answer : answers) EXPECT_EQ(answer, want);
+  Client client(socket_path_);
+  const Response stats = client.stats();
+  ASSERT_EQ(stats.status, 0u);
+  EXPECT_EQ(entry_value(stats.stats, "serve.cache.misses"), 1u);
+  EXPECT_EQ(entry_value(stats.stats, "serve.cache.hits") +
+                entry_value(stats.stats, "serve.cache.inflight_waits"),
+            static_cast<std::uint64_t>(kClients - 1));
+  shutdown_over_wire(*server);
+}
+
+TEST_F(ServeSocket, HotSwapUnderLoadServesOnlyWholeAnswers) {
+  const dag::SweepInstance inst_a = make_instance();
+  const dag::SweepInstance inst_b = dag::random_instance(50, 2, 4, 1.5, 31);
+  const std::string path_b = temp_path("hot_swap_b.sweepart");
+  dag::save_artifact(inst_b, path_b);  // no descendant counts
+
+  // Cold references: the only two answers a query may get.
+  ServeService cold_a = make_service(inst_a, true, no_cache());
+  ServeService cold_b(dag::Artifact::map_file(path_b), no_cache());
+  const std::vector<Request> cases = {
+      query_request(Scheme::kLevel, 4, 101),
+      query_request(Scheme::kRandomDelay, 8, 102),
+      query_request(Scheme::kLevel, 1, 103)};
+  std::vector<std::vector<std::byte>> expect_a, expect_b;
+  for (const Request& request : cases) {
+    expect_a.push_back(encode_response(cold_a.handle(request)));
+    expect_b.push_back(encode_response(cold_b.handle(request)));
+    ASSERT_NE(expect_a.back(), expect_b.back());
+  }
+
+  ServeService service = make_service(inst_a);
+  const auto server = serve(service);
+  std::atomic<int> torn{0};
+  std::vector<Client> clients;  // connected up front, so no thread can fail
+  for (int w = 0; w < 4; ++w) clients.emplace_back(socket_path_);
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> hammer;
+  for (int w = 0; w < 4; ++w) {
+    hammer.push_back(test_thread([&, w] {
+      const auto i = static_cast<std::size_t>(w);
+      ready.fetch_add(1);
+      while (!go.load()) std::this_thread::yield();
+      for (int round = 0; round < 60; ++round) {
+        const std::size_t pick = (i + round) % cases.size();
+        const std::vector<std::byte> got =
+            encode_response(clients[i].call(cases[pick]));
+        if (got != expect_a[pick] && got != expect_b[pick]) torn.fetch_add(1);
+      }
+    }));
+  }
+  Client client(socket_path_);
+  Request swap;
+  swap.type = MsgType::kSwap;
+  swap.swap.path = path_b;
+  while (ready.load() < 4) std::this_thread::yield();
+  go.store(true);
+  EXPECT_EQ(client.call(swap).status, 0u);
+  for (std::thread& t : hammer) t.join();
+  EXPECT_EQ(torn.load(), 0);
+
+  // The swap ack happens after the flip, so every answer from here on is
+  // B's: a cached A answer surviving would be a stale serve.
+  for (std::size_t pick = 0; pick < cases.size(); ++pick) {
+    EXPECT_EQ(encode_response(client.call(cases[pick])), expect_b[pick])
+        << "case " << pick;
+  }
+  const Response info = client.info();
+  ASSERT_EQ(info.status, 0u);
+  EXPECT_EQ(info.info.n_cells, inst_b.n_cells());
+  EXPECT_FALSE(info.info.has_descendants);
+  // B has no packed counts, so the descendant scheme is refused.
+  EXPECT_NE(client.call(query_request(Scheme::kDescendant, 4, 1)).status, 0u);
+  const Response stats = client.stats();
+  EXPECT_EQ(stats.status, 0u);
+  EXPECT_EQ(entry_value(stats.stats, "swaps"), 1u);
+  shutdown_over_wire(*server);
+  EXPECT_EQ(service.swaps_completed(), 1u);
+  std::filesystem::remove(path_b);
+}
+
+std::int64_t gauge_value(const StatsResponse& stats, const std::string& name) {
+  for (const auto& [k, v] : stats.gauges) {
+    if (k == name) return v;
+  }
+  return 0;
+}
+
+bool quantiles_monotone(const StatsHistogram& h) {
+  return h.p50 <= h.p90 && h.p90 <= h.p99 && h.p99 <= h.p999 &&
+         h.p999 <= h.max;
+}
+
+TEST_F(ServeSocket, StatsPolledUnderLoadStayConsistent) {
+  // Four clients send queries (every 10th one invalid, m = 0) while a
+  // fifth polls kStats, so snapshots race live recording into every
+  // histogram shard and gauge.
+  obs::MetricsRegistry::instance().reset();
+  obs::set_metrics_enabled(true);
+  ServeService service = make_service(make_instance(), false);
+  const auto server = serve(service);
+
+  constexpr int kClients = 4;
+  constexpr int kRounds = 30;
+  std::atomic<int> failures{0};
+  std::atomic<std::uint64_t> ok{0};
+  std::atomic<std::uint64_t> rejected{0};
+  std::atomic<bool> hammering{true};
+  std::thread poller = test_thread([&] {
+    Client client(socket_path_);
+    while (hammering.load(std::memory_order_relaxed)) {
+      const Response r = client.stats();
+      if (r.status != 0) failures.fetch_add(1);
+      for (const StatsHistogram& h : r.stats.histograms) {
+        if (!quantiles_monotone(h)) failures.fetch_add(1);
+      }
+    }
+  });
+  std::vector<std::thread> hammer;
+  for (int w = 0; w < kClients; ++w) {
+    hammer.push_back(test_thread([&, w] {
+      Client client(socket_path_);
+      for (int round = 0; round < kRounds; ++round) {
+        const std::uint32_t m =
+            round % 10 == 9 ? 0u : static_cast<std::uint32_t>(1 + w);
+        const Response r = client.call(query_request(
+            round % 2 == 0 ? Scheme::kLevel : Scheme::kRandomDelay, m,
+            static_cast<std::uint64_t>(w * 1000 + round)));
+        if (r.status == 0) {
+          ok.fetch_add(1);
+        } else if (m == 0) {
+          rejected.fetch_add(1);
+        } else {
+          failures.fetch_add(1);
+        }
+      }
+    }));
+  }
+  for (std::thread& t : hammer) t.join();
+  hammering.store(false, std::memory_order_relaxed);
+  poller.join();
+  EXPECT_EQ(failures.load(), 0);
+  const std::uint64_t want_rejected = kClients * (kRounds / 10);
+  const std::uint64_t want_ok = kClients * kRounds - want_rejected;
+  EXPECT_EQ(ok.load(), want_ok);
+  EXPECT_EQ(rejected.load(), want_rejected);
+
+  // The server lowers the in-flight gauge just after the response bytes
+  // leave, so let the workers settle before reading a non-zero as a leak.
+  // A stats request observes itself in flight: balanced reads exactly 1.
+  Client client(socket_path_);
+  Response r = client.stats();
+  for (int attempt = 0;
+       attempt < 100 && r.status == 0 &&
+       gauge_value(r.stats, "serve.inflight_requests") != 1;
+       ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    r = client.stats();
+  }
+  ASSERT_EQ(r.status, 0u);
+  const StatsResponse& stats = r.stats;
+  EXPECT_EQ(stats.proto_version, kStatsProtoVersion);
+  EXPECT_EQ(entry_value(stats, "queries"), want_ok);
+  EXPECT_EQ(entry_value(stats, "errors"), want_rejected);
+#if !defined(SWEEP_OBS_DISABLE)
+  EXPECT_FALSE(stats.histograms.empty());
+  bool saw_request_hist = false;
+  for (const StatsHistogram& h : stats.histograms) {
+    EXPECT_TRUE(quantiles_monotone(h)) << h.name;
+    if (h.name == "serve.request_ns") {
+      saw_request_hist = true;
+      EXPECT_GE(h.count, want_ok + want_rejected);
+      EXPECT_GT(h.p50, 0u);
+    }
+  }
+  EXPECT_TRUE(saw_request_hist);
+  EXPECT_EQ(gauge_value(stats, "serve.inflight_requests"), 1);
+  EXPECT_GE(entry_value(stats, "serve.status.error"), want_rejected);
+#else
+  EXPECT_TRUE(stats.histograms.empty());
+  EXPECT_TRUE(stats.gauges.empty());
+#endif
+  shutdown_over_wire(*server);
+  obs::set_metrics_enabled(false);
+  obs::MetricsRegistry::instance().reset();
 }
 
 }  // namespace

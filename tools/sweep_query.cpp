@@ -1,8 +1,8 @@
 // sweep_query: command-line client for a running sweep_serve daemon.
 //
 //   sweep_query --socket /tmp/sweep.sock --op info
-//   sweep_query --socket /tmp/sweep.sock --op query --scheme level --m 16 \
-//               --seed 7
+//   sweep_query --socket /tmp/sweep.sock --op query --scheme level
+//               --m 16 --seed 7
 //   sweep_query --socket /tmp/sweep.sock --op swap --path new.sweepart
 //   sweep_query --socket /tmp/sweep.sock --op shutdown
 

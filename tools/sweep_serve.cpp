@@ -47,8 +47,10 @@ static int run_main(int argc, char** argv) {
   }
 
   // The daemon arms metrics unconditionally: latency histograms are what
-  // the kStats endpoint (and sweep_top) serve, and the armed overhead is
-  // bounded by bench/obs_overhead. Tracing stays opt-in (it buffers).
+  // the kStats endpoint (and sweep_top) serve; perfbench's serve workloads
+  // run the daemon armed, so their latencies include that overhead. Tracing
+  // stays opt-in (it buffers); perfbench reports its cost as
+  // obs.trace_overhead_pct.
 #if !defined(SWEEP_OBS_DISABLE)
   obs::set_metrics_enabled(true);
   if (!cli.str("trace-out").empty()) obs::start_tracing();
